@@ -150,11 +150,18 @@ def _load_query(path: str, config: PipelineConfig) -> peaks.OnsetSequence:
         return _detect_onsets(path, config)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    try:
         times = json.loads(text)
-    else:
-        times = [float(line) for line in text.split() if line]
+    except json.JSONDecodeError:
+        if text.lstrip().startswith(("[", "{")):
+            raise
+        times = [float(token) for token in text.split()]
+    if isinstance(times, (int, float)):  # a one-line listing
+        times = [times]
+    if (not isinstance(times, list)
+            or not all(isinstance(t, (int, float)) for t in times)):
+        raise ValueError("query listing must be a JSON array of numbers "
+                         "or one time per line")
     return peaks.OnsetSequence(times=np.asarray(times, dtype=np.float64),
                                unit="seconds")
 
@@ -371,9 +378,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

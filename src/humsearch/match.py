@@ -6,6 +6,11 @@ onsets as detected/missed.  Correlative matching searches over anchor
 pairs defining an affine time map from reference beats to query seconds,
 scoring each candidate alignment by the Pearson correlation of the matched
 pairs times a penalty of L^2/(m*n) for unmatched onsets on either side.
+
+All anchor cells of a song are scored in one batched NumPy pass; the
+batched scores only filter, and the cells within ``_TIE_TOL`` of their
+maximum are rescored exactly, one at a time, by ``subset_match`` and
+``pearson``, which stay the single definition of the score.
 """
 
 from __future__ import annotations
@@ -125,26 +130,105 @@ def _cell_score(q: np.ndarray, scaled_ref: np.ndarray,
     return rho * correction, result
 
 
+# Cells per batched chunk, in whole rows of anchors i; bounds the working
+# set to about _CHUNK_CELLS * m floats per array on long songs.
+_CHUNK_CELLS = 1024
+# Batched and exact scores agree far closer than this, so every cell that
+# can hold the exact maximum survives the filter.
+_TIE_TOL = 1e-9
+
+
+def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
+                  jj: np.ndarray) -> np.ndarray:
+    """Scores of the anchor cells (ii, jj), computed together.
+
+    The affine maps and the mutual-nearest matching are bit-for-bit those
+    of ``_cell_score``; only the Pearson sums round differently.
+    """
+    n, m = len(q), len(r)
+    beta = (q[jj] - q[ii]) / (r[-1] - r[0])
+    alpha = q[ii] - beta * r[0]
+    s = alpha[:, None] + beta[:, None] * r
+    invalid = ~(np.isfinite(s).all(axis=1)
+                & (np.diff(s, axis=1) > 0).all(axis=1))
+    if invalid.any():
+        # the error the cell-by-cell search meets at its first invalid cell
+        OnsetSequence(times=s[np.argmax(invalid)])
+
+    # the nearest query onset x[c, k] of each mapped onset s[c, k]; the pair
+    # is mutual iff s[c, k] is in turn the nearest mapped onset of x[c, k],
+    # which, s being sorted, needs only its neighbours s[c, k -+ 1]: the
+    # earlier one wins distance ties, as in _nearest_indices
+    x = q[_nearest_indices(s, q)]
+    d = np.abs(s - x)
+    earlier = np.ones(s.shape, dtype=bool)
+    earlier[:, 1:] = d[:, 1:] < np.abs(s[:, :-1] - x[:, 1:])
+    later = np.ones(s.shape, dtype=bool)
+    later[:, :-1] = (x[:, :-1] <= s[:, 1:]) & (
+        d[:, :-1] <= np.abs(s[:, 1:] - x[:, :-1]))
+    mutual = np.where(x <= s, earlier, later)
+
+    L = mutual.sum(axis=1)
+    count = np.maximum(L, 1)[:, None]
+
+    def centred(v):
+        mean = np.where(mutual, v, 0.0).sum(axis=1, keepdims=True) / count
+        return np.where(mutual, v - mean, 0.0)
+
+    dx, ds = centred(x), centred(s)
+    vx = (dx * dx).sum(axis=1)
+    vs = (ds * ds).sum(axis=1)
+    rho = np.divide((dx * ds).sum(axis=1), np.sqrt(vx * vs),
+                    out=np.zeros(len(s)), where=(vx > 0) & (vs > 0))
+    return np.where(L >= 2, rho * (L * L / (n * m)), 0.0)
+
+
+def _candidate_cells(q: np.ndarray, r: np.ndarray):
+    """Anchors (i, j), in row-major order, whose batched score is within
+    ``_TIE_TOL`` of the maximum or is not finite."""
+    n, m = len(q), len(r)
+    rows = max(1, _CHUNK_CELLS // (n - m + 1))
+    top = -np.inf
+    kept = []
+    for i0 in range(0, n - m + 1, rows):
+        i_rows = np.arange(i0, min(i0 + rows, n - m + 1))
+        ii, jj = np.nonzero(np.arange(n) - i_rows[:, None] >= m - 1)
+        ii += i0
+        scores = _batch_scores(q, r, ii, jj)
+        top = max(top, np.max(scores, initial=-np.inf,
+                              where=np.isfinite(scores)))
+        near = ~(scores < top - _TIE_TOL)
+        kept.append((scores[near], ii[near], jj[near]))
+    scores, ii, jj = (np.concatenate(a) for a in zip(*kept))
+    near = ~(scores < top - _TIE_TOL)
+    return zip(ii[near].tolist(), jj[near].tolist())
+
+
 def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
     """Anchor-pair search assuming len(q) >= len(r).
 
     Anchors (i, j) propose that reference endpoints r[0], r[-1] land on
     q[i], q[j]; cells with j - i < m - 1 are geometrically infeasible and
     never selected.  Arg-max ties break toward smallest i, then smallest j.
+    Cells whose score is not finite never win; a song without a finite
+    cell is rejected.
     """
     n, m = len(q), len(r)
     ref_span = r[-1] - r[0]
     best = None
-    for i in range(n - m + 1):
-        for j in range(max(m - 1, i + m - 1), n):
+    # overflow on huge onset times shows up as a non-finite score instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a single cell (n == m) is its own maximum: nothing to filter
+        cells = [(0, n - 1)] if n == m else _candidate_cells(q, r)
+        for i, j in cells:
             beta = (q[j] - q[i]) / ref_span
             alpha = q[i] - beta * r[0]
             scaled = alpha + beta * r
             score, result = _cell_score(q, scaled, query_unit)
-            if best is None or score > best[0]:
+            if math.isfinite(score) and (best is None or score > best[0]):
                 best = (score, alpha, beta, result)
     if best is None:
-        raise ValueError("no feasible anchor cell")
+        raise ValueError("no anchor cell gives a finite score")
     return best
 
 

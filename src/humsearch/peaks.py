@@ -75,6 +75,8 @@ class OnsetSequence:
         times = np.asarray(self.times, dtype=np.float64)
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("onset times must be finite")
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("onset times must be strictly increasing")
         if self.unit not in ("seconds", "beats"):

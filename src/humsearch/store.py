@@ -82,11 +82,11 @@ def _parse_record(obj, index: int) -> SongRecord:
         raise DatabaseError(f"{where} ({song_id!r}): needs at least 2 onsets")
     if not np.all(np.diff(times) > 0):
         raise DatabaseError(f"{where} ({song_id!r}): non-increasing onsets")
-    return SongRecord(
-        id=song_id,
-        title=title,
-        onsets_beats=OnsetSequence(times=times, unit="beats"),
-    )
+    try:
+        onsets_beats = OnsetSequence(times=times, unit="beats")
+    except ValueError as exc:
+        raise DatabaseError(f"{where} ({song_id!r}): {exc}") from exc
+    return SongRecord(id=song_id, title=title, onsets_beats=onsets_beats)
 
 
 def db_load(path) -> Database:

@@ -116,6 +116,14 @@ class TestDb:
         assert main(["db", "validate", "--db", str(db)]) == 0
         assert "ok: 1 records" in capsys.readouterr().out
 
+    def test_validate_nonfinite_onset(self, tmp_path, capsys):
+        db = tmp_path / "db.json"
+        db.write_text('[{"id": "s1", "title": "T", '
+                      '"onsets_beats": [0, 1, Infinity]}]')
+        assert main(["db", "validate", "--db", str(db)]) == 2
+        assert capsys.readouterr().err == (
+            "error: record #0 ('s1'): onset times must be finite\n")
+
     def test_validate_broken_file(self, tmp_path):
         db = tmp_path / "db.json"
         db.write_text(json.dumps(
@@ -156,6 +164,37 @@ class TestSearch:
         query.write_text("[0.0, 1.0]")
         assert main(["search", str(query), "--db",
                      str(tmp_path / "absent.json")]) == 3
+
+    def test_nonfinite_query_is_data_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", self.PATTERNS)
+        query = tmp_path / "query.json"
+        query.write_text("[0, 1e308, Infinity]")
+        assert main(["search", str(query), "--db", str(db)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: onset times must be finite\n"
+
+    def test_song_without_finite_score_is_skipped(self, tmp_path, capsys):
+        # the 4-onset song's one anchor cell overflows the Pearson sums
+        db = write_db(tmp_path / "db.json",
+                      {"s3": [0, 1, 2], "s4": [0, 1, 2, 3]})
+        query = tmp_path / "query.json"
+        query.write_text("[0, 0.5, 1.5, 1e308]")
+        assert main(["search", str(query), "--db", str(db), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        assert [e["id"] for e in json.loads(out)] == ["s3"]
+        assert main(["search", str(query), "--db", str(db)]) == 0
+        assert ("skipped s4: no anchor cell gives a finite score"
+                in capsys.readouterr().out)
+
+    def test_json_object_query_is_data_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", self.PATTERNS)
+        query = tmp_path / "query.json"
+        query.write_text('{"a": 1}')
+        assert main(["search", str(query), "--db", str(db)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: query listing must be a JSON array of "
+                       "numbers or one time per line\n")
 
     def test_short_query_is_data_error(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", self.PATTERNS)

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from humsearch import match
 from humsearch.match import (
     MatchResult,
+    _cell_score,
     correlative_match,
     pearson,
     subset_match,
@@ -55,6 +61,156 @@ def brute_force_correlative(q, r):
             if best is None or score > best[0]:
                 best = (score, alpha, beta)
     return best
+
+
+def loop_correlative_core(q, r, query_unit):
+    """The cell-by-cell anchor search the batched kernel replaced, kept as
+    its oracle: one ``_cell_score`` per feasible cell, in (i, j) order."""
+    n, m = len(q), len(r)
+    ref_span = r[-1] - r[0]
+    best = None
+    for i in range(n - m + 1):
+        for j in range(max(m - 1, i + m - 1), n):
+            beta = (q[j] - q[i]) / ref_span
+            alpha = q[i] - beta * r[0]
+            scaled = alpha + beta * r
+            score, result = _cell_score(q, scaled, query_unit)
+            if best is None or score > best[0]:
+                best = (score, alpha, beta, result)
+    if best is None:
+        raise ValueError("no feasible anchor cell")
+    return best
+
+
+def assert_same_similarity(got, want):
+    assert (got.score, got.alpha, got.beta) == (
+        want.score, want.alpha, want.beta)
+    assert (got.match.false_positives, got.match.false_negatives) == (
+        want.match.false_positives, want.match.false_negatives)
+    for a, b in ((got.match.matched_entries, want.match.matched_entries),
+                 (got.match.detected_onsets, want.match.detected_onsets),
+                 (got.predicted_onsets, want.predicted_onsets)):
+        assert a.unit == b.unit
+        assert np.array_equal(a.times, b.times)
+
+
+def match_or_error(query, reference):
+    try:
+        return correlative_match(query, reference), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def assert_matches_loop(query, reference):
+    got, got_error = match_or_error(query, reference)
+    with mock.patch.object(match, "_correlative_core", loop_correlative_core):
+        want, want_error = match_or_error(query, reference)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_similarity(got, want)
+
+
+@st.composite
+def tie_heavy_pair(draw):
+    """Query seconds and reference beats on coarse binary grids, so that
+    equal distances and equal scores, hence arg-max ties, really occur."""
+    grid = st.sampled_from([0.25, 0.5, 1.0, 0.1, 0.3])
+    n_ref = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["grid", "affine_copy", "intervals", "uniform"]))
+    if kind == "intervals":
+        steps = draw(st.lists(st.sampled_from([1.0, 2.0]),
+                              min_size=n_ref - 1, max_size=n_ref - 1))
+        beats = np.cumsum([0.0] + steps)
+    else:
+        beats = np.array(sorted(draw(st.sets(st.integers(0, 24),
+                                             min_size=n_ref, max_size=n_ref))),
+                         dtype=np.float64)
+    if kind in ("affine_copy", "intervals"):
+        beta = draw(st.sampled_from([0.25, 0.5, 0.75, 1.5]))
+        alpha = draw(st.sampled_from([0.0, 0.5, 3.25]))
+        extra = draw(st.sets(st.integers(0, 60), max_size=10))
+        q = np.union1d(alpha + beta * beats, 0.25 * np.array(sorted(extra)))
+        # drop some copied onsets to exercise the deficit side too
+        keep = draw(st.integers(2, len(q)))
+        q = q[:keep] if draw(st.booleans()) else q[len(q) - keep:]
+    elif kind == "grid":
+        step = draw(grid)
+        q = step * np.array(sorted(draw(st.sets(st.integers(0, 40),
+                                                min_size=2, max_size=20))))
+    else:
+        xs = draw(st.sets(st.floats(0, 30, allow_nan=False, width=32),
+                          min_size=2, max_size=20))
+        q = np.array(sorted(xs), dtype=np.float64)
+    return (OnsetSequence(times=q, unit="seconds"),
+            OnsetSequence(times=beats, unit="beats"))
+
+
+class TestBatchedAnchorSearch:
+    """The batched kernel returns exactly what the cell-by-cell loop does:
+    same score, alpha, beta, matched and detected onsets, and the same
+    arg-max cell among ties."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=tie_heavy_pair(), chunk=st.sampled_from([1, 2, 7, 1024]))
+    def test_equals_loop_oracle(self, pair, chunk):
+        query, reference = pair
+        with mock.patch.object(match, "_CHUNK_CELLS", chunk):
+            assert_matches_loop(query, reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=tie_heavy_pair())
+    def test_batch_scores_agree_with_cell_scores(self, pair):
+        # the filter's premise: every batched score is the cell's exact
+        # score up to rounding far below _TIE_TOL
+        q, r = pair[0].times, pair[1].times
+        if len(q) < len(r):
+            q, r = r, q
+        n, m = len(q), len(r)
+        ii, jj = np.triu_indices(n, m - 1)
+        try:
+            batch = match._batch_scores(q, r, ii, jj)
+        except ValueError:
+            # some mapped reference collapses; the loop oracle meets it too
+            with pytest.raises(ValueError):
+                loop_correlative_core(q, r, "seconds")
+            return
+        for c, (i, j) in enumerate(zip(ii, jj)):
+            beta = (q[j] - q[i]) / (r[-1] - r[0])
+            exact, _ = _cell_score(q, q[i] - beta * r[0] + beta * r,
+                                   "seconds")
+            assert batch[c] == pytest.approx(exact, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("deficit", [False, True])
+    def test_periodic_ties_across_chunks(self, deficit):
+        # every cell (i, i + 3) is a perfect copy of the reference; the
+        # first one must win, and the cells span more than one chunk
+        q = 0.5 * np.arange(60) + 1.0
+        r = np.arange(4, dtype=np.float64)
+        assert (60 - 4 + 1) * (60 - 4 + 2) // 2 > match._CHUNK_CELLS
+        query, reference = (seq(q), seq(r, unit="beats"))
+        if deficit:
+            query, reference = seq(r), seq(q, unit="beats")
+        assert_matches_loop(query, reference)
+        assert correlative_match(query, reference).score > 0
+
+    def test_best_cell_in_a_later_chunk(self, rng):
+        beats = np.array([0.0, 1.0, 3.0, 4.0, 7.0])
+        noise = np.sort(rng.uniform(0, 20, 50))
+        copy = 40.0 + 0.6 * beats
+        q = np.union1d(noise, copy)
+        assert_matches_loop(seq(q), seq(beats, unit="beats"))
+        assert correlative_match(seq(q), seq(beats, unit="beats")).alpha == (
+            pytest.approx(40.0))
+
+    def test_one_cell(self, rng):
+        q = np.sort(rng.uniform(0, 10, 12))
+        r = np.sort(rng.uniform(0, 10, 12))
+        assert_matches_loop(seq(q), seq(r, unit="beats"))
+
+    def test_no_finite_cell_is_rejected(self):
+        with pytest.raises(ValueError, match="finite score"):
+            correlative_match(seq([0.0, 0.5, 1.5, 1e308]),
+                              seq([0, 1, 2, 3], unit="beats"))
 
 
 class TestPearson:
