@@ -9,12 +9,11 @@ A power-analysis subsystem quantifies how reliably each detector finds a
 modeled onset.
 """
 
-from .audio import Signal, load_wav, quantize
+from .audio import Signal, load_wav
 from .detect import (
     DetectionSeries,
     dominant_spectral_dissimilarity,
     energy_detector,
-    periodogram,
     run_detector,
     spectral_dissimilarity,
 )
@@ -30,7 +29,7 @@ from .power import (
     synth_signal,
 )
 from .search import RankedResult, rank
-from .spectral import Spectrogram, band_limit_bins, dft, pure_tone, stft
+from .spectral import Spectrogram, band_limit_bins, dft, stft
 from .store import Database, SongRecord, db_load, db_save
 
 __version__ = "0.1.0"

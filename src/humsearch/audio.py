@@ -1,4 +1,4 @@
-"""WAV ingestion and uniform quantization.
+"""WAV ingestion.
 
 Audio enters the system as a :class:`Signal`: a finite sequence of real
 amplitudes on a nominal [-1, 1] full scale, together with its sampling
@@ -19,7 +19,6 @@ __all__ = [
     "WavFormatError",
     "EmptyAudioError",
     "load_wav",
-    "quantize",
 ]
 
 
@@ -167,20 +166,3 @@ def _decode_wav(data: bytes) -> Signal:
         samples = samples.reshape(-1, 2).mean(axis=1)
 
     return Signal(samples=samples, sample_rate=int(sample_rate))
-
-
-def quantize(signal: Signal, bitrate: int) -> Signal:
-    """Snap each sample to the nearest of ``2**bitrate`` uniform levels.
-
-    The levels are the bin boundaries of a uniform partition of [-1, 1];
-    midpoint ties round toward the lower boundary.  The operation is
-    idempotent and its outputs always lie on the level grid.
-    """
-    if not 1 <= bitrate <= 32:
-        raise ValueError(f"bitrate must be in [1, 32], got {bitrate}")
-    n_levels = 2 ** bitrate
-    step = 2.0 / (n_levels - 1)
-    # ceil(u - 0.5) rounds to nearest with ties toward the lower index
-    idx = np.ceil((signal.samples + 1.0) / step - 0.5)
-    idx = np.clip(idx, 0, n_levels - 1)
-    return Signal(samples=idx * step - 1.0, sample_rate=signal.sample_rate)

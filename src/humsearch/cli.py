@@ -55,22 +55,16 @@ class PipelineConfig:
 
     @classmethod
     def defaults_for(cls, detector_kind: detect.DetectorKind) -> "PipelineConfig":
-        """Calibrated settings per detector: window 4096 and mean
-        thresholding throughout; energy hops 512 samples and compares 8
-        neighbors per side, spectral dissimilarity hops 2048 with 4, and
-        dominant spectral dissimilarity hops 2048 with 2."""
-        hops = {"energy": 512,
-                "spectral_dissimilarity": 2048,
-                "dominant_spectral_dissimilarity": 2048}
-        radii = {"energy": 8,
-                 "spectral_dissimilarity": 4,
-                 "dominant_spectral_dissimilarity": 2}
+        """Calibrated settings per detector: window, hop, cutoff and
+        neighbor radius from ``detect.DETECTORS``, with mean thresholding
+        and a 0.1 s minimum gap throughout."""
+        defaults = detect.DETECTORS[detector_kind]
         return cls(
             detector_kind=detector_kind,
-            window_length=4096,
-            hop=hops[detector_kind],
-            cutoff_hz=detect.DEFAULT_CUTOFF_HZ,
-            neighbors=peaks.symmetric_neighbors(radii[detector_kind]),
+            window_length=detect.WINDOW_LENGTH,
+            hop=defaults.hop,
+            cutoff_hz=detect.CUTOFF_HZ,
+            neighbors=peaks.symmetric_neighbors(defaults.neighbor_radius),
             threshold_rule="mean_scaled",
             threshold_scale=1.0,
             min_gap=0.1,
@@ -86,16 +80,14 @@ class PipelineConfig:
         )
 
 
-_DETECTOR_NAMES = {
-    "energy": "energy",
-    "sd": "spectral_dissimilarity",
-    "dsd": "dominant_spectral_dissimilarity",
-}
+_KIND_BY_NAME = {d.cli_name: kind for kind, d in detect.DETECTORS.items()}
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--detector", choices=sorted(_DETECTOR_NAMES),
-                        default="sd", help="detection function")
+    parser.add_argument(
+        "--detector", choices=sorted(_KIND_BY_NAME),
+        default=detect.DETECTORS["spectral_dissimilarity"].cli_name,
+        help="detection function")
     parser.add_argument("--window", type=int, default=None,
                         help="window length in samples")
     parser.add_argument("--hop", type=int, default=None,
@@ -111,7 +103,7 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    config = PipelineConfig.defaults_for(_DETECTOR_NAMES[args.detector])
+    config = PipelineConfig.defaults_for(_KIND_BY_NAME[args.detector])
     overrides = {}
     if args.window is not None:
         overrides["window_length"] = args.window
@@ -158,8 +150,7 @@ def _load_query(path: str, config: PipelineConfig) -> peaks.OnsetSequence:
         times = [float(token) for token in text.split()]
     if isinstance(times, (int, float)):  # a one-line listing
         times = [times]
-    if (not isinstance(times, list)
-            or not all(isinstance(t, (int, float)) for t in times)):
+    if not store.is_number_array(times):
         raise ValueError("query listing must be a JSON array of numbers "
                          "or one time per line")
     return peaks.OnsetSequence(times=np.asarray(times, dtype=np.float64),
@@ -362,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--offset-min", type=int, default=-1024)
             p.add_argument("--offset-max", type=int, default=1024)
             p.add_argument("--offset-step", type=int, default=128)
-            p.set_defaults(detector="energy")
+            p.set_defaults(detector=detect.DETECTORS["energy"].cli_name)
         else:
             p.add_argument("--trials", type=int, default=1000)
         p.set_defaults(func=_cmd_power)

@@ -1,13 +1,17 @@
-"""The three onset detection functions.
+"""The three onset detection functions and their calibrated defaults.
 
 Each detector reduces a recording to a series T[n] of non-negative
 statistics over a sliding window, designed to spike at note onsets:
 
 * local energy: sum of squared samples per window;
-* spectral dissimilarity: band-limited sum of positive frame-to-frame
-  STFT magnitude increases;
+* spectral dissimilarity: sum of positive frame-to-frame STFT magnitude
+  increases over the low band;
 * dominant spectral dissimilarity: positive frame-to-frame increase of the
-  squared maximum band-limited bin magnitude.
+  squared maximum low-band bin magnitude.
+
+``DETECTORS`` is the one table of per-detector defaults (CLI name, hop,
+peak-picking neighbor radius); ``WINDOW_LENGTH`` and ``CUTOFF_HZ`` are
+shared by all of them.
 """
 
 from __future__ import annotations
@@ -18,17 +22,21 @@ from typing import Literal
 
 import numpy as np
 
+from . import spectral
 from .audio import Signal
-from .spectral import Spectrogram, band_limit_bins, frame_signal, frame_times
+from .spectral import Spectrogram, frame_signal, frame_times
 
 __all__ = [
     "DetectionSeries",
+    "DetectorDefaults",
     "DetectorKind",
-    "DEFAULT_CUTOFF_HZ",
+    "DETECTORS",
+    "WINDOW_LENGTH",
+    "CUTOFF_HZ",
     "energy_detector",
     "spectral_dissimilarity",
     "dominant_spectral_dissimilarity",
-    "periodogram",
+    "run_detector",
     "write_series_csv",
 ]
 
@@ -36,9 +44,28 @@ DetectorKind = Literal[
     "energy", "spectral_dissimilarity", "dominant_spectral_dissimilarity"
 ]
 
+
+@dataclass(frozen=True)
+class DetectorDefaults:
+    """Calibrated settings of one detector: its CLI name, its hop in
+    samples and the neighbors compared on each side in peak picking."""
+
+    cli_name: str
+    hop: int
+    neighbor_radius: int
+
+
+WINDOW_LENGTH = 4096
 # Humming carries essentially no onset information above 1 kHz
 # (fundamental 80-200 Hz plus a few harmonics).
-DEFAULT_CUTOFF_HZ = 1000.0
+CUTOFF_HZ = 1000.0
+DETECTORS: dict[str, DetectorDefaults] = {
+    "energy": DetectorDefaults("energy", hop=512, neighbor_radius=8),
+    "spectral_dissimilarity": DetectorDefaults("sd", hop=2048,
+                                               neighbor_radius=4),
+    "dominant_spectral_dissimilarity": DetectorDefaults("dsd", hop=2048,
+                                                        neighbor_radius=2),
+}
 
 
 @dataclass(frozen=True)
@@ -67,8 +94,8 @@ class DetectionSeries:
         return len(self.values)
 
 
-def energy_detector(signal: Signal, window_length: int = 4096,
-                    hop: int = 512) -> DetectionSeries:
+def energy_detector(signal: Signal, window_length: int = WINDOW_LENGTH,
+                    hop: int = DETECTORS["energy"].hop) -> DetectionSeries:
     """Local energy per hopping window: ``T[n] = sum_i x[n*h + i]^2``."""
     if window_length < 1 or hop < 1:
         raise ValueError("window_length and hop must be >= 1")
@@ -86,18 +113,17 @@ def energy_detector(signal: Signal, window_length: int = 4096,
     )
 
 
-def _band_magnitudes(spectrogram: Spectrogram, cutoff_hz: float) -> np.ndarray:
+def _magnitudes(spectrogram: Spectrogram) -> np.ndarray:
     if spectrogram.n_frames < 2:
         raise ValueError("need at least 2 frames")
-    k = band_limit_bins(spectrogram, cutoff_hz)
-    return np.abs(spectrogram.frames[:, :k])
+    return np.abs(spectrogram.frames)
 
 
-def spectral_dissimilarity(spectrogram: Spectrogram,
-                           cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> DetectionSeries:
+def spectral_dissimilarity(spectrogram: Spectrogram) -> DetectionSeries:
     """Sum of positive bin-magnitude increases between consecutive frames,
-    restricted to bins at or below ``cutoff_hz``.  T[0] is defined as 0."""
-    mags = _band_magnitudes(spectrogram, cutoff_hz)
+    over every bin of the (band-limited) spectrogram.  T[0] is defined as
+    0."""
+    mags = _magnitudes(spectrogram)
     diffs = np.diff(mags, axis=0)
     values = np.where(diffs > 0, diffs, 0.0).sum(axis=1)
     values = np.concatenate([[0.0], values])
@@ -111,11 +137,11 @@ def spectral_dissimilarity(spectrogram: Spectrogram,
 
 
 def dominant_spectral_dissimilarity(
-        spectrogram: Spectrogram,
-        cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> DetectionSeries:
+        spectrogram: Spectrogram) -> DetectionSeries:
     """Positive increase of the squared dominant bin magnitude between
-    consecutive frames, band-limited to ``cutoff_hz``.  T[0] is 0."""
-    mags = _band_magnitudes(spectrogram, cutoff_hz)
+    consecutive frames, over every bin of the (band-limited) spectrogram.
+    T[0] is 0."""
+    mags = _magnitudes(spectrogram)
     dominant = mags.max(axis=1)
     rises = dominant[1:] > dominant[:-1]
     diffs = dominant[1:] ** 2 - dominant[:-1] ** 2
@@ -129,40 +155,23 @@ def dominant_spectral_dissimilarity(
     )
 
 
-def periodogram(window: np.ndarray, f0_bin: int) -> float:
-    """Periodogram of one signal window at an integer frequency bin:
-    ``I(f0) = |sum_n x[n] exp(-2 pi i f0 n / w)|^2 / w``.
-
-    This is the GLRT statistic for a sinusoid of known frequency in white
-    Gaussian noise; its maximum over bins is the unknown-frequency variant.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    w = len(window)
-    if w == 0:
-        raise ValueError("empty window")
-    if not 0 <= f0_bin < w:
-        raise ValueError(f"bin {f0_bin} out of range for window length {w}")
-    n = np.arange(w)
-    s = np.sum(window * np.exp(-2j * np.pi * f0_bin * n / w))
-    return float(np.abs(s) ** 2 / w)
-
-
 def run_detector(signal: Signal, kind: DetectorKind,
-                 window_length: int = 4096, hop: int | None = None,
-                 cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> DetectionSeries:
-    """Dispatch to one of the three detectors with its usual hop default
-    (512 samples for energy, 2048 for the spectral detectors)."""
-    from .spectral import stft
-
+                 window_length: int = WINDOW_LENGTH, hop: int | None = None,
+                 cutoff_hz: float = CUTOFF_HZ) -> DetectionSeries:
+    """Dispatch to one of the three detectors, with the hop from
+    ``DETECTORS`` unless ``hop`` is given; the spectral detectors see the
+    STFT band at or below ``cutoff_hz``."""
+    if kind not in DETECTORS:
+        raise ValueError(f"unknown detector kind: {kind}")
+    hop = DETECTORS[kind].hop if hop is None else hop
     if kind == "energy":
-        return energy_detector(signal, window_length, 512 if hop is None else hop)
-    hop = 2048 if hop is None else hop
-    spectrogram = stft(signal, window_length, hop)
+        return energy_detector(signal, window_length, hop)
+    # through the module at call time, so that a wrapper installed on
+    # spectral.stft (bench/tracing.py) sees the call
+    spectrogram = spectral.stft(signal, window_length, hop, cutoff_hz)
     if kind == "spectral_dissimilarity":
-        return spectral_dissimilarity(spectrogram, cutoff_hz)
-    if kind == "dominant_spectral_dissimilarity":
-        return dominant_spectral_dissimilarity(spectrogram, cutoff_hz)
-    raise ValueError(f"unknown detector kind: {kind}")
+        return spectral_dissimilarity(spectrogram)
+    return dominant_spectral_dissimilarity(spectrogram)
 
 
 def write_series_csv(series: DetectionSeries, fh) -> None:

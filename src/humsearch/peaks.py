@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .detect import DetectionSeries
+from .detect import DETECTORS, DetectionSeries
 
 __all__ = [
     "PeakConfig",
@@ -40,11 +40,13 @@ class PeakConfig:
     """Peak-picking parameters.
 
     ``hopsize`` and ``neighbors`` are in series-index units.  ``min_gap``
-    is in seconds of series time.
+    is in seconds of series time.  The defaults are the energy detector's
+    calibrated settings.
     """
 
     hopsize: int = 1
-    neighbors: tuple[int, ...] = symmetric_neighbors(8)
+    neighbors: tuple[int, ...] = symmetric_neighbors(
+        DETECTORS["energy"].neighbor_radius)
     threshold_rule: ThresholdRule = "mean_scaled"
     threshold_scale: float = 1.0
     min_gap: float = 0.1

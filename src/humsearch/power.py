@@ -23,9 +23,9 @@ from scipy.integrate import quad
 from scipy.stats import chi2, ncx2
 
 from .audio import Signal
-from .detect import DetectorKind, run_detector
+from .detect import (CUTOFF_HZ, DETECTORS, WINDOW_LENGTH, DetectorKind,
+                     run_detector)
 from .peaks import PeakConfig, detect_peaks
-from .spectral import frame_count
 
 __all__ = [
     "OnsetModel",
@@ -188,7 +188,8 @@ def _range_ncp(model: OnsetModel, lo: float, hi: float,
 
 
 def energy_tail_probability(model: OnsetModel, threshold: float,
-                            offset: int, window_length: int = 4096) -> float:
+                            offset: int,
+                            window_length: int = WINDOW_LENGTH) -> float:
     """P(T > threshold) for the energy statistic of the window starting
     ``offset`` samples after the onset.
 
@@ -230,7 +231,8 @@ def _neighbor_ranges(offset: int, gap: int, window_length: int):
 
 def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
                              threshold: float, offset: int, *,
-                             window_length: int = 4096, hop: int = 512,
+                             window_length: int = WINDOW_LENGTH,
+                             hop: int = DETECTORS["energy"].hop,
                              draws: int = 100_000,
                              seed: int = 0) -> BoundResult:
     """Analytic lower bound on P(the window at ``offset`` is emitted).
@@ -274,7 +276,8 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
 
 def energy_power_curve(model: OnsetModel, peak_config: PeakConfig,
                        threshold: float, offsets, *,
-                       window_length: int = 4096, hop: int = 512,
+                       window_length: int = WINDOW_LENGTH,
+                       hop: int = DETECTORS["energy"].hop,
                        draws: int = 100_000, seed: int = 0) -> PowerCurve:
     """Evaluate :func:`energy_power_lower_bound` over a grid of offsets."""
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -299,11 +302,12 @@ def energy_power_curve(model: OnsetModel, peak_config: PeakConfig,
 
 def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
                       peak_config: PeakConfig, trials: int, seed: int, *,
-                      window_length: int = 4096,
+                      window_length: int = WINDOW_LENGTH,
                       hop: int | None = None,
-                      cutoff_hz: float = 1000.0) -> PowerCurve:
+                      cutoff_hz: float = CUTOFF_HZ) -> PowerCurve:
     """Estimate the per-offset emission probability by simulating the full
-    detector-plus-peak-picking pipeline.
+    detector-plus-peak-picking pipeline (``hop`` defaults to the
+    detector's own, as in :func:`run_detector`).
 
     Each trial synthesizes a fresh realization, detects onsets, and
     credits the frame(s) at which onsets were emitted.  Per-trial seeds
@@ -312,21 +316,21 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if hop is None:
-        hop = 512 if detector_kind == "energy" else 2048
 
-    n_frames = frame_count(model.length, hop)
-    counts = np.zeros(n_frames, dtype=np.int64)
+    emitted = []
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     for child in child_seeds:
         signal = synth_signal(model, child)
         series = run_detector(signal, detector_kind, window_length, hop,
                               cutoff_hz)
         onsets = detect_peaks(series, peak_config)
-        for t in onsets.times:
-            frame = round((t * model.sample_rate - window_length / 2) / hop)
-            if 0 <= frame < n_frames:
-                counts[frame] += 1
+        emitted.append(onsets.times)
+    # every trial has the same length, so the last series fixes the grid
+    hop, n_frames = series.hop, len(series)
+    frames = np.rint((np.concatenate(emitted) * model.sample_rate
+                      - window_length / 2) / hop).astype(np.int64)
+    counts = np.bincount(frames[(frames >= 0) & (frames < n_frames)],
+                         minlength=n_frames)
 
     centers = np.arange(n_frames) * hop + window_length // 2
     return PowerCurve(

@@ -1,9 +1,11 @@
-"""Discrete Fourier transform, Fourier basis tones and the short-time transform.
+"""Discrete Fourier transform and the band-limited short-time transform.
 
 The DFT here is unitary (1/sqrt(N) scaling) so that Parseval's identity
 holds exactly: ``norm(dft(x)) == norm(x)``.  The short-time transform used
-by the spectral detection functions is the plain unnormalized window DFT,
-computed frame by frame over a hopping rectangular window.
+by the spectral detection functions is the plain unnormalized window DFT
+of a hopping rectangular window.  The detectors read only the low band
+(1 kHz at the defaults), so each frame is transformed with a real FFT and
+only its bins at or below the cutoff are kept.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from .audio import Signal
 __all__ = [
     "Spectrogram",
     "dft",
-    "idft",
-    "pure_tone",
     "stft",
     "band_limit_bins",
 ]
@@ -30,12 +30,14 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Complex short-time Fourier coefficients with window/hop metadata.
+    """Low-band complex short-time Fourier coefficients with window/hop
+    metadata.
 
     ``frames[n, k]`` is the unnormalized window-DFT coefficient of frame
-    ``n`` at frequency bin ``k``.  Frame ``n`` covers the sample range
-    ``[n * hop, n * hop + window_length)`` and is stamped with the time of
-    the window center.
+    ``n`` at frequency bin ``k`` (``k * sample_rate / window_length`` Hz)
+    for the K lowest bins, ``k = 0 .. K-1``.  Frame ``n`` covers the
+    sample range ``[n * hop, n * hop + window_length)`` and is stamped
+    with the time of the window center.
     """
 
     frames: np.ndarray = field(repr=False)
@@ -49,8 +51,10 @@ class Spectrogram:
             raise ValueError("window_length must be a power of two >= 2")
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.window_length:
-            raise ValueError("frames must be (n_frames, window_length)")
+        max_bins = self.window_length // 2 + 1
+        if self.frames.ndim != 2 or not 1 <= self.frames.shape[1] <= max_bins:
+            raise ValueError("frames must be (n_frames, K) with "
+                             "1 <= K <= window_length // 2 + 1")
         if len(self.frame_times) != len(self.frames):
             raise ValueError("frame_times length must match frame count")
 
@@ -70,27 +74,6 @@ def dft(x) -> np.ndarray:
     return np.fft.fft(x, norm="ortho")
 
 
-def idft(y) -> np.ndarray:
-    """Inverse of :func:`dft` (unitary scaling)."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.size == 0:
-        raise ValueError("empty input")
-    return np.fft.ifft(y, norm="ortho")
-
-
-def pure_tone(f: int, n: int) -> np.ndarray:
-    """Normalized complex exponential of order ``n`` at frequency bin ``f``.
-
-    Element ``m`` equals ``exp(2 pi i f m / n) / sqrt(n)``.  The tones for
-    ``f = 0 .. n-1`` form an orthonormal basis under the complex inner
-    product.
-    """
-    if not 0 <= f < n:
-        raise ValueError(f"bin index {f} out of range for order {n}")
-    m = np.arange(n)
-    return np.exp(2j * np.pi * f * m / n) / np.sqrt(n)
-
-
 def frame_count(n_samples: int, hop: int) -> int:
     """Number of analysis frames for a signal of ``n_samples``: ceil(n/hop),
     at least 1."""
@@ -99,9 +82,10 @@ def frame_count(n_samples: int, hop: int) -> int:
 
 def frame_signal(samples: np.ndarray, window_length: int, hop: int) -> np.ndarray:
     """Slice a signal into ``ceil(len/hop)`` frames of ``window_length``
-    samples starting at multiples of ``hop``, zero-padding past the end."""
+    samples starting at multiples of ``hop``, zero-padding past the end
+    (with ``hop > window_length`` the samples between frames are skipped)."""
     n = frame_count(len(samples), hop)
-    padded_len = (n - 1) * hop + window_length
+    padded_len = max((n - 1) * hop + window_length, len(samples))
     padded = np.zeros(padded_len, dtype=np.float64)
     padded[: len(samples)] = samples
     view = np.lib.stride_tricks.sliding_window_view(padded, window_length)
@@ -115,12 +99,17 @@ def frame_times(n_frames: int, window_length: int, hop: int,
     return (starts + window_length / 2) / sample_rate
 
 
-def stft(signal: Signal, window_length: int = 4096, hop: int = 512) -> Spectrogram:
-    """Short-time Fourier transform with a rectangular window.
+def stft(signal: Signal, window_length: int, hop: int,
+         cutoff_hz: float | None = None) -> Spectrogram:
+    """Band-limited short-time Fourier transform with a rectangular window.
 
+    Each frame goes through a real FFT and only its K =
+    :func:`band_limit_bins` bins at or below ``cutoff_hz`` are kept; the
+    default cutoff is the detectors' band, ``detect.CUTOFF_HZ``.
     Coefficients are the unnormalized window DFT (no 1/sqrt(w) factor), so
-    per frame ``sum_k |X_k|^2 == w * sum_m x[m]^2``.  The tail is
-    zero-padded so that frame times cover the full recording.
+    with the cutoff at Nyquist, per frame
+    ``|X_0|^2 + 2 sum_{0<k<w/2} |X_k|^2 + |X_{w/2}|^2 == w * sum_m x[m]^2``.
+    The tail is zero-padded so that frame times cover the full recording.
     """
     if not _is_power_of_two(window_length) or window_length < 2:
         raise ValueError("window_length must be a power of two >= 2")
@@ -128,8 +117,13 @@ def stft(signal: Signal, window_length: int = 4096, hop: int = 512) -> Spectrogr
         raise ValueError("hop must be >= 1")
     if len(signal) < 1:
         raise ValueError("empty signal")
+    if cutoff_hz is None:
+        # imported here because detect imports this module
+        from .detect import CUTOFF_HZ as cutoff_hz
+    k = band_limit_bins(window_length, signal.sample_rate, cutoff_hz)
     frames = frame_signal(signal.samples, window_length, hop)
-    coeffs = np.fft.fft(frames, axis=1)
+    # a copy, so that the bins above the band are freed at once
+    coeffs = np.fft.rfft(frames, axis=1)[:, :k].copy()
     times = frame_times(len(frames), window_length, hop, signal.sample_rate)
     return Spectrogram(
         frames=coeffs,
@@ -140,12 +134,12 @@ def stft(signal: Signal, window_length: int = 4096, hop: int = 512) -> Spectrogr
     )
 
 
-def band_limit_bins(spectrogram: Spectrogram, cutoff_hz: float) -> int:
+def band_limit_bins(window_length: int, sample_rate: int,
+                    cutoff_hz: float) -> int:
     """Number of low-frequency bins K whose real frequency is at most
-    ``cutoff_hz``; detection functions iterate bins ``0 .. K-1``."""
-    nyquist = spectrogram.sample_rate / 2
+    ``cutoff_hz``: the bins ``0 .. K-1`` that :func:`stft` keeps."""
+    nyquist = sample_rate / 2
     if not 0 < cutoff_hz <= nyquist:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz outside (0, Nyquist={nyquist}]")
-    return int(cutoff_hz * spectrogram.window_length
-               // spectrogram.sample_rate) + 1
+    return int(cutoff_hz * window_length // sample_rate) + 1

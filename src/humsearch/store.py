@@ -10,13 +10,15 @@ silently repairs a violation - every invariant failure is an error.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .peaks import OnsetSequence
 
-__all__ = ["SongRecord", "Database", "DatabaseError", "db_load", "db_save"]
+__all__ = ["SongRecord", "Database", "DatabaseError", "db_load", "db_save",
+           "is_number_array"]
 
 
 class DatabaseError(ValueError):
@@ -54,11 +56,12 @@ class Database:
     def __len__(self) -> int:
         return len(self.records)
 
-    def get(self, song_id: str) -> SongRecord | None:
-        for rec in self.records:
-            if rec.id == song_id:
-                return rec
-        return None
+
+def is_number_array(obj) -> bool:
+    """Whether a parsed JSON value is an array of numbers.  JSON booleans
+    are not numbers, although Python's ``bool`` subclasses ``int``."""
+    return isinstance(obj, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
 
 
 def _parse_record(obj, index: int) -> SongRecord:
@@ -73,8 +76,7 @@ def _parse_record(obj, index: int) -> SongRecord:
     onsets = obj["onsets_beats"]
     if not isinstance(song_id, str) or not isinstance(title, str):
         raise DatabaseError(f"{where}: id and title must be strings")
-    if (not isinstance(onsets, list)
-            or not all(isinstance(x, (int, float)) for x in onsets)):
+    if not is_number_array(onsets):
         raise DatabaseError(f"{where} ({song_id!r}): onsets_beats must be "
                             "an array of numbers")
     times = np.asarray(onsets, dtype=np.float64)
@@ -103,7 +105,12 @@ def db_load(path) -> Database:
 
 
 def db_save(db: Database, path) -> None:
-    """Write the database as pretty-printed JSON (whole-file replace)."""
+    """Write the database as pretty-printed JSON.
+
+    The document is written to a temporary file beside ``path``, which
+    then replaces ``path`` in one step, so a write that fails part-way
+    leaves the old database as it was.
+    """
     doc = [
         {
             "id": rec.id,
@@ -112,6 +119,13 @@ def db_save(db: Database, path) -> None:
         }
         for rec in db.records
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, ensure_ascii=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from humsearch.audio import (
     EmptyAudioError,
     Signal,
     WavFormatError,
     load_wav,
-    quantize,
 )
 
 from conftest import write_float_wav, write_pcm_wav
@@ -83,39 +80,3 @@ class TestLoadWav:
         write_pcm_wav(path, np.zeros(0))
         with pytest.raises(EmptyAudioError):
             load_wav(path)
-
-
-class TestQuantize:
-    def test_two_level_tie_goes_down(self):
-        sig = Signal(samples=np.array([0.0]), sample_rate=1)
-        assert quantize(sig, 1).samples == pytest.approx([-1.0])
-
-    def test_nearest_boundary(self):
-        sig = Signal(samples=np.array([0.9, -0.9]), sample_rate=1)
-        assert quantize(sig, 2).samples == pytest.approx([1.0, -1.0])
-
-    def test_high_bitrate_is_near_identity(self, rng):
-        samples = rng.uniform(-1, 1, 1000)
-        out = quantize(Signal(samples=samples, sample_rate=1), 32)
-        assert np.max(np.abs(out.samples - samples)) <= 2.0 ** -31 * 2
-
-    def test_bitrate_out_of_range(self):
-        sig = Signal(samples=np.array([0.0]), sample_rate=1)
-        for bad in (0, 33, -1):
-            with pytest.raises(ValueError):
-                quantize(sig, bad)
-
-    @given(
-        bitrate=st.integers(1, 16),
-        values=st.lists(st.floats(-1, 1, allow_nan=False), min_size=1,
-                        max_size=50),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_idempotent_and_on_grid(self, bitrate, values):
-        sig = Signal(samples=np.array(values), sample_rate=1)
-        once = quantize(sig, bitrate)
-        twice = quantize(once, bitrate)
-        assert np.array_equal(once.samples, twice.samples)
-        levels = np.linspace(-1, 1, 2 ** bitrate)
-        for v in once.samples:
-            assert np.min(np.abs(levels - v)) < 1e-12

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from humsearch import cli
+from humsearch import cli, detect
+from humsearch.audio import Signal
 from humsearch.cli import PipelineConfig, main
+from humsearch.detect import run_detector
 from humsearch.peaks import symmetric_neighbors
+from humsearch.power import OnsetModel, monte_carlo_power
+from humsearch.spectral import band_limit_bins, stft
 
 from conftest import write_pcm_wav
 
@@ -45,6 +49,36 @@ class TestPipelineConfig:
         assert (sd.hop, sd.neighbors) == (2048, symmetric_neighbors(4))
         dsd = PipelineConfig.defaults_for("dominant_spectral_dissimilarity")
         assert (dsd.hop, dsd.neighbors) == (2048, symmetric_neighbors(2))
+
+    def test_defaults_come_from_the_detector_table(self, rng):
+        sig = Signal(samples=rng.normal(size=SR), sample_rate=SR)
+        model = OnsetModel.from_ssnr(onset_index=8192, length=16384)
+        parser = cli._Parser()
+        cli._add_detector_flags(parser)
+        names = {d.cli_name for d in detect.DETECTORS.values()}
+        assert {parser.parse_args(["--detector", n]).detector
+                for n in names} == names
+        with pytest.raises(cli.UsageError):
+            parser.parse_args(["--detector", "zero_crossings"])
+        for kind, defaults in detect.DETECTORS.items():
+            config = cli._pipeline_config(
+                parser.parse_args(["--detector", defaults.cli_name]))
+            assert config == PipelineConfig.defaults_for(kind)
+            assert config.detector_kind == kind
+            assert (config.window_length, config.hop, config.cutoff_hz,
+                    config.neighbors) == (
+                detect.WINDOW_LENGTH, defaults.hop, detect.CUTOFF_HZ,
+                symmetric_neighbors(defaults.neighbor_radius))
+            series = run_detector(sig, kind)
+            assert (series.hop, series.window_length) == (
+                defaults.hop, detect.WINDOW_LENGTH)
+            curve = monte_carlo_power(model, kind, config.peak_config(),
+                                      trials=1, seed=0)
+            assert set(np.diff(curve.offsets)) == {defaults.hop}
+            assert curve.offsets[0] == (detect.WINDOW_LENGTH // 2
+                                        - model.onset_index)
+        assert stft(sig, detect.WINDOW_LENGTH, 2048).frames.shape[1] == (
+            band_limit_bins(detect.WINDOW_LENGTH, SR, detect.CUTOFF_HZ))
 
 
 class TestDetect:
@@ -124,6 +158,16 @@ class TestDb:
         assert capsys.readouterr().err == (
             "error: record #0 ('s1'): onset times must be finite\n")
 
+    def test_validate_boolean_onsets(self, tmp_path, capsys):
+        # JSON booleans are not beat times, though Python's bool is an int
+        db = tmp_path / "db.json"
+        db.write_text('[{"id": "s1", "title": "T", '
+                      '"onsets_beats": [false, true, 2]}]')
+        assert main(["db", "validate", "--db", str(db)]) == 2
+        assert capsys.readouterr().err == (
+            "error: record #0 ('s1'): onsets_beats must be an array of "
+            "numbers\n")
+
     def test_validate_broken_file(self, tmp_path):
         db = tmp_path / "db.json"
         db.write_text(json.dumps(
@@ -195,6 +239,16 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err == ("error: query listing must be a JSON array of "
                        "numbers or one time per line\n")
+
+    def test_boolean_query_is_data_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", self.PATTERNS)
+        query = tmp_path / "query.json"
+        for listing in ("[true, 2, 3]", "true"):
+            query.write_text(listing)
+            assert main(["search", str(query), "--db", str(db)]) == 2
+            assert capsys.readouterr().err == (
+                "error: query listing must be a JSON array of numbers or "
+                "one time per line\n")
 
     def test_short_query_is_data_error(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", self.PATTERNS)

@@ -6,7 +6,6 @@ from humsearch.detect import (
     DetectionSeries,
     dominant_spectral_dissimilarity,
     energy_detector,
-    periodogram,
     run_detector,
     spectral_dissimilarity,
     write_series_csv,
@@ -15,13 +14,13 @@ from humsearch.spectral import Spectrogram, band_limit_bins, stft
 
 
 def make_spectrogram(mag_rows, w=4096, sr=48000, hop=2048):
-    """Build a Spectrogram whose band-limited magnitudes are prescribed.
+    """Build a Spectrogram whose band magnitudes are prescribed.
 
-    Each row of mag_rows fills the first len(row) bins of a frame; the rest
-    of the w bins are zero, so cutoff choices at or above those bins see
-    exactly the prescribed values.
+    Each row of mag_rows fills the first len(row) bins of a frame; the
+    frames hold as many bins as the longest row, the rest of them zero.
     """
-    frames = np.zeros((len(mag_rows), w), dtype=complex)
+    width = max(len(row) for row in mag_rows)
+    frames = np.zeros((len(mag_rows), width), dtype=complex)
     for n, row in enumerate(mag_rows):
         frames[n, : len(row)] = row
     times = (np.arange(len(mag_rows)) * hop + w / 2) / sr
@@ -98,13 +97,17 @@ class TestSpectralDissimilarity:
         assert spectral_dissimilarity(spec).values[1] == 0.0
 
     def test_band_limit_respected(self):
-        # energy placed above the cutoff bin contributes nothing
-        spec = make_spectrogram([np.zeros(200), np.zeros(200)])
-        k = band_limit_bins(spec, 1000.0)
-        hot = np.zeros(200)
-        hot[k] = 100.0
-        spec2 = make_spectrogram([np.zeros(200), hot])
-        assert spectral_dissimilarity(spec2, 1000.0).values[1] == 0.0
+        # a whole-frame tone switching on above the cutoff contributes
+        # nothing, because stft keeps no bin above it; the same tone in
+        # the band rises by its full magnitude w/2
+        sr, w = 48000, 4096
+        t = np.arange(2 * w)
+        for k0, rise in ((200, 0.0), (20, w / 2)):
+            x = np.where(t >= w, np.cos(2 * np.pi * k0 * t / w), 0.0)
+            spec = stft(Signal(samples=x, sample_rate=sr), w, w)
+            assert spec.frames.shape[1] == band_limit_bins(w, sr, 1000.0)
+            assert spectral_dissimilarity(spec).values[1] == pytest.approx(
+                rise, abs=1e-6)
 
     def test_linear_scaling(self, rng):
         sig = Signal(samples=rng.normal(size=20000), sample_rate=48000)
@@ -144,29 +147,6 @@ class TestDominantSpectralDissimilarity:
         scaled_sig = Signal(samples=2.0 * sig.samples, sample_rate=48000)
         b = dominant_spectral_dissimilarity(stft(scaled_sig, 4096, 2048))
         assert b.values == pytest.approx(4.0 * a.values, rel=1e-9)
-
-
-class TestPeriodogram:
-    def test_zero_window(self):
-        assert periodogram(np.zeros(64), 3) == 0.0
-
-    def test_exact_bin_cosine(self):
-        w, k0, amp = 256, 9, 1.7
-        n = np.arange(w)
-        x = amp * np.cos(2 * np.pi * k0 * n / w)
-        oracle = np.abs(np.sum(x * np.exp(-2j * np.pi * k0 * n / w))) ** 2 / w
-        value = periodogram(x, k0)
-        assert value == pytest.approx(oracle, rel=1e-9)
-        assert value == pytest.approx(amp ** 2 * w / 4, rel=1e-9)
-
-    def test_wgn_max_exceeds_mean(self, rng):
-        x = rng.normal(size=512)
-        values = [periodogram(x, k) for k in range(512)]
-        assert max(values) > np.mean(values)
-
-    def test_bin_out_of_range(self):
-        with pytest.raises(ValueError):
-            periodogram(np.zeros(8), 8)
 
 
 class TestRunDetector:

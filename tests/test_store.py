@@ -43,11 +43,6 @@ class TestDatabase:
         with pytest.raises(DatabaseError, match="duplicate id"):
             Database(records=(record("s1", [0, 1]), record("s1", [0, 2])))
 
-    def test_get(self):
-        db = Database(records=(record("a", [0, 1]), record("b", [0, 2])))
-        assert db.get("b").title == "B"
-        assert db.get("zzz") is None
-
 
 class TestDbLoad:
     def test_empty_array(self, tmp_path):
@@ -134,3 +129,18 @@ class TestDbSave:
         db = Database(records=(record("s", [0, 1]),))
         with pytest.raises(OSError):
             db_save(db, tmp_path / "missing-dir" / "db.json")
+
+    def test_failed_write_keeps_old_database(self, tmp_path, monkeypatch):
+        path = tmp_path / "db.json"
+        db_save(Database(records=(record("old", [0, 1]),)), path)
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('[\n  {"id": "new"')
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            db_save(Database(records=(record("new", [0, 2]),)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
