@@ -158,8 +158,9 @@ def _decode_wav(data: bytes) -> Signal:
         )
         raw = np.where(raw >= 1 << 23, raw - (1 << 24), raw)
         samples = raw.astype(np.float64) / float(1 << 23)
-    else:  # 32-bit float
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    else:  # 32-bit float; a signalling NaN stays NaN, rejected by Signal
+        with np.errstate(invalid="ignore"):
+            samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         samples = np.clip(samples, -1.0, 1.0)
 
     if channels == 2:

@@ -8,6 +8,10 @@ Commands::
     humsearch power   bound|simulate  [model flags]
 
 Exit codes: 0 success, 1 usage, 2 data/validation, 3 I/O.
+
+A flag that sets a library parameter is stored under that parameter's
+name and passed on only when given, so every default lives in the
+library function or dataclass that uses it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,49 +41,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Detector plus peak-picking parameters for one CLI invocation."""
-
-    detector_kind: detect.DetectorKind
-    window_length: int
-    hop: int
-    cutoff_hz: float
-    neighbors: tuple[int, ...]
-    threshold_rule: peaks.ThresholdRule
-    threshold_scale: float
-    min_gap: float
-    top_k: int = 5
-    closeness: float = 0.05
-
-    @classmethod
-    def defaults_for(cls, detector_kind: detect.DetectorKind) -> "PipelineConfig":
-        """Calibrated settings per detector: window, hop, cutoff and
-        neighbor radius from ``detect.DETECTORS``, with mean thresholding
-        and a 0.1 s minimum gap throughout."""
-        defaults = detect.DETECTORS[detector_kind]
-        return cls(
-            detector_kind=detector_kind,
-            window_length=detect.WINDOW_LENGTH,
-            hop=defaults.hop,
-            cutoff_hz=detect.CUTOFF_HZ,
-            neighbors=peaks.symmetric_neighbors(defaults.neighbor_radius),
-            threshold_rule="mean_scaled",
-            threshold_scale=1.0,
-            min_gap=0.1,
-        )
-
-    def peak_config(self) -> peaks.PeakConfig:
-        return peaks.PeakConfig(
-            hopsize=1,
-            neighbors=self.neighbors,
-            threshold_rule=self.threshold_rule,
-            threshold_scale=self.threshold_scale,
-            min_gap=self.min_gap,
-        )
-
-
 _KIND_BY_NAME = {d.cli_name: kind for kind, d in detect.DETECTORS.items()}
+_THRESHOLD_RULES = {"mean": "mean_scaled", "q3": "third_quartile"}
+# power-model flags: (flag, OnsetModel.from_ssnr parameter, type)
+_MODEL_FLAGS = (
+    ("--ssnr", "ssnr", float), ("--noise-var", "noise_variance", float),
+    ("--decay", "decay", float), ("--freq", "frequency", float),
+    ("--sample-rate", "sample_rate", int),
+    ("--onset-index", "onset_index", int), ("--length", "length", int),
+)
+
+
+def _add_flag(parser: argparse.ArgumentParser, flag: str, dest: str,
+              **kwargs) -> None:
+    """A flag that sets the library parameter ``dest`` only when given, so
+    that the parameter's own default holds otherwise; its metavar follows
+    the flag's name, as argparse's own would."""
+    kwargs.setdefault("metavar", flag[2:].replace("-", "_").upper())
+    parser.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
+
+
+def _given(args, *names: str) -> dict:
+    """The library parameters among ``names`` whose flags were given."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count or a step."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_frame_flags(parser: argparse.ArgumentParser) -> None:
+    _add_flag(parser, "--window", "window_length", type=int,
+              help="window length in samples")
+    _add_flag(parser, "--hop", "hop", type=int, help="hop size in samples")
+    _add_flag(parser, "--neighbors", "neighbors", type=int, metavar="R",
+              help="compare R neighbors on each side")
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,58 +91,41 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
         "--detector", choices=sorted(_KIND_BY_NAME),
         default=detect.DETECTORS["spectral_dissimilarity"].cli_name,
         help="detection function")
-    parser.add_argument("--window", type=int, default=None,
-                        help="window length in samples")
-    parser.add_argument("--hop", type=int, default=None,
-                        help="hop size in samples")
-    parser.add_argument("--neighbors", type=int, default=None, metavar="R",
-                        help="compare R neighbors on each side")
-    parser.add_argument("--threshold", choices=["mean", "q3"], default=None)
-    parser.add_argument("--threshold-scale", type=float, default=None)
-    parser.add_argument("--min-gap", type=float, default=None,
-                        help="minimum onset separation in seconds")
-    parser.add_argument("--cutoff-hz", type=float, default=None,
-                        help="band limit for the spectral detectors")
+    _add_frame_flags(parser)
+    parser.add_argument("--threshold", choices=sorted(_THRESHOLD_RULES),
+                        default=argparse.SUPPRESS)
+    _add_flag(parser, "--threshold-scale", "threshold_scale", type=float)
+    _add_flag(parser, "--min-gap", "min_gap", type=float,
+              help="minimum onset separation in seconds")
+    _add_flag(parser, "--cutoff-hz", "cutoff_hz", type=float,
+              help="band limit for the spectral detectors")
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    config = PipelineConfig.defaults_for(_KIND_BY_NAME[args.detector])
-    overrides = {}
-    if args.window is not None:
-        overrides["window_length"] = args.window
-    if args.hop is not None:
-        overrides["hop"] = args.hop
-    if args.neighbors is not None:
-        overrides["neighbors"] = peaks.symmetric_neighbors(args.neighbors)
-    if args.threshold is not None:
-        overrides["threshold_rule"] = (
-            "mean_scaled" if args.threshold == "mean" else "third_quartile")
-    if args.threshold_scale is not None:
-        overrides["threshold_scale"] = args.threshold_scale
-    if args.min_gap is not None:
-        overrides["min_gap"] = args.min_gap
-    if args.cutoff_hz is not None:
-        overrides["cutoff_hz"] = args.cutoff_hz
-    if getattr(args, "top", None) is not None:
-        overrides["top_k"] = args.top
-    if getattr(args, "closeness", None) is not None:
-        overrides["closeness"] = args.closeness
-    return replace(config, **overrides)
+def _peak_config(args, kind: detect.DetectorKind) -> peaks.PeakConfig:
+    """Peak picking from the given flags, with the detector's own
+    neighbor radius unless ``--neighbors`` is given."""
+    options = _given(args, "threshold_scale", "min_gap")
+    if hasattr(args, "threshold"):
+        options["threshold_rule"] = _THRESHOLD_RULES[args.threshold]
+    radius = getattr(args, "neighbors",
+                     detect.DETECTORS[kind].neighbor_radius)
+    return peaks.PeakConfig(neighbors=peaks.symmetric_neighbors(radius),
+                            **options)
 
 
-def _detect_onsets(wav_path: str, config: PipelineConfig) -> peaks.OnsetSequence:
-    signal = audio.load_wav(wav_path)
+def _detect_onsets(wav_path: str, args) -> peaks.OnsetSequence:
+    kind = _KIND_BY_NAME[args.detector]
     series = detect.run_detector(
-        signal, config.detector_kind, config.window_length, config.hop,
-        config.cutoff_hz)
-    return peaks.detect_peaks(series, config.peak_config())
+        audio.load_wav(wav_path), kind,
+        **_given(args, "window_length", "hop", "cutoff_hz"))
+    return peaks.detect_peaks(series, _peak_config(args, kind))
 
 
-def _load_query(path: str, config: PipelineConfig) -> peaks.OnsetSequence:
+def _load_query(path: str, args) -> peaks.OnsetSequence:
     """A query is either a WAV recording or a plain onset listing
     (JSON array, or one time per line)."""
     if path.lower().endswith(".wav"):
-        return _detect_onsets(path, config)
+        return _detect_onsets(path, args)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -148,33 +134,31 @@ def _load_query(path: str, config: PipelineConfig) -> peaks.OnsetSequence:
         if text.lstrip().startswith(("[", "{")):
             raise
         times = [float(token) for token in text.split()]
+    except RecursionError:  # nested deeper than the decoder can follow
+        times = None
     if isinstance(times, (int, float)):  # a one-line listing
         times = [times]
     if not store.is_number_array(times):
         raise ValueError("query listing must be a JSON array of numbers "
                          "or one time per line")
-    return peaks.OnsetSequence(times=np.asarray(times, dtype=np.float64),
-                               unit="seconds")
+    return peaks.OnsetSequence(times=times, unit="seconds")
 
 
 def _cmd_detect(args) -> int:
-    config = _pipeline_config(args)
-    onsets = _detect_onsets(args.wav, config)
+    onsets = _detect_onsets(args.wav, args)
     out = onsets.to_json() + "\n" if args.json else onsets.to_text()
     _write_output(out, args.out)
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    config = _pipeline_config(args)
     db = store.db_load(args.db)
-    query = _load_query(args.query, config)
+    query = _load_query(args.query, args)
     if len(query) < 2:
         raise store.DatabaseError(
             "query produced fewer than 2 onsets; please re-record with "
             "clearer rhythm")
-    result = search.rank(db, query, top_k=config.top_k,
-                         closeness=config.closeness)
+    result = search.rank(db, query, **_given(args, "top_k", "closeness"))
     if args.json:
         doc = [
             {
@@ -219,57 +203,45 @@ def _cmd_db(args) -> int:
     except FileNotFoundError:
         db = store.Database(records=())
     times = np.asarray([float(x) for x in args.onsets.split(",")])
-    record = store.SongRecord(
-        id=args.id,
-        title=args.title,
-        onsets_beats=peaks.OnsetSequence(times=times, unit="beats"),
-    )
+    try:
+        record = store.SongRecord(
+            id=args.id,
+            title=args.title,
+            onsets_beats=peaks.OnsetSequence(times=times, unit="beats"),
+        )
+    except ValueError as exc:
+        raise store.DatabaseError(f"record {args.id!r}: {exc}") from exc
     db = store.Database(records=db.records + (record,))
     store.db_save(db, args.db)
     print(f"added {record.id} ({len(times)} onsets)")
     return EXIT_OK
 
 
-def _power_model(args) -> power.OnsetModel:
-    return power.OnsetModel.from_ssnr(
-        ssnr=args.ssnr,
-        noise_variance=args.noise_var,
-        decay=args.decay,
-        frequency=args.freq,
-        sample_rate=args.sample_rate,
-        onset_index=args.onset_index,
-        length=args.length,
-    )
-
-
 def _cmd_power(args) -> int:
-    model = _power_model(args)
-    config = _pipeline_config(args)
-    peak_config = config.peak_config()
+    model = power.OnsetModel.from_ssnr(
+        **_given(args, *(dest for _, dest, _ in _MODEL_FLAGS)))
 
     if args.power_cmd == "bound":
-        threshold = args.ssnr * model.noise_sd ** 2
+        ssnr = getattr(args, "ssnr", power.REFERENCE_SSNR)
+        threshold = ssnr * model.noise_sd ** 2
+        window_length = getattr(args, "window_length", detect.WINDOW_LENGTH)
         offsets = np.arange(args.offset_min, args.offset_max + 1,
                             args.offset_step)
         curve = power.energy_power_curve(
-            model, peak_config, threshold, offsets,
-            window_length=config.window_length, hop=config.hop,
-            draws=args.draws, seed=args.seed)
+            model, _peak_config(args, "energy"), threshold, offsets,
+            **_given(args, "window_length", "hop", "draws", "seed"))
         p_noise = power.energy_tail_probability(
-            model, threshold, -10 * config.window_length,
-            config.window_length)
+            model, threshold, -10 * window_length, window_length)
         fp_bound = power.false_positive_upper_bound(p_noise)
         summary = _region_summary(curve)
         print(f"lower bound >= 0.9 on offsets {summary}")
         print(f"false-positive upper bound (noise-only window): "
               f"{fp_bound:.3e}")
     else:  # simulate
-        if args.trials < 1:
-            raise UsageError("--trials must be >= 1")
+        kind = _KIND_BY_NAME[args.detector]
         curve = power.monte_carlo_power(
-            model, config.detector_kind, peak_config, args.trials,
-            args.seed, window_length=config.window_length, hop=config.hop,
-            cutoff_hz=config.cutoff_hz)
+            model, kind, _peak_config(args, kind), args.trials,
+            **_given(args, "seed", "window_length", "hop", "cutoff_hz"))
         summary = _region_summary(curve)
         print(f"estimated emission probability >= 0.9 on offsets {summary}")
 
@@ -313,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("query", help="WAV recording or onset listing")
     p_search.add_argument("--db", required=True)
     _add_detector_flags(p_search)
-    p_search.add_argument("--top", type=int, default=None)
-    p_search.add_argument("--closeness", type=float, default=None)
+    _add_flag(p_search, "--top", "top_k", type=int)
+    _add_flag(p_search, "--closeness", "closeness", type=float)
     p_search.add_argument("--json", action="store_true")
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=_cmd_search)
@@ -335,28 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_power = sub.add_parser("power", help="detection-power analysis")
     power_sub = p_power.add_subparsers(dest="power_cmd", required=True)
-    for name in ("bound", "simulate"):
-        p = power_sub.add_parser(name)
-        _add_detector_flags(p)
-        p.add_argument("--ssnr", type=float, default=power.REFERENCE_SSNR)
-        p.add_argument("--noise-var", type=float,
-                       default=power.REFERENCE_NOISE_VARIANCE)
-        p.add_argument("--decay", type=float, default=50.0)
-        p.add_argument("--freq", type=float, default=440.0)
-        p.add_argument("--sample-rate", type=int, default=48000)
-        p.add_argument("--onset-index", type=int, default=24576)
-        p.add_argument("--length", type=int, default=48000)
-        p.add_argument("--seed", type=int, default=0)
+    p_bound = power_sub.add_parser("bound")
+    _add_frame_flags(p_bound)  # the energy detector's analytic bound
+    p_simulate = power_sub.add_parser("simulate")
+    _add_detector_flags(p_simulate)
+    for p in (p_bound, p_simulate):
+        for flag, dest, cast in _MODEL_FLAGS:
+            _add_flag(p, flag, dest, type=cast)
+        _add_flag(p, "--seed", "seed", type=int)
         p.add_argument("--out", default=None, help="CSV output path")
-        if name == "bound":
-            p.add_argument("--draws", type=int, default=100_000)
-            p.add_argument("--offset-min", type=int, default=-1024)
-            p.add_argument("--offset-max", type=int, default=1024)
-            p.add_argument("--offset-step", type=int, default=128)
-            p.set_defaults(detector=detect.DETECTORS["energy"].cli_name)
-        else:
-            p.add_argument("--trials", type=int, default=1000)
         p.set_defaults(func=_cmd_power)
+    _add_flag(p_bound, "--draws", "draws", type=int)
+    p_bound.add_argument("--offset-min", type=int, default=-1024)
+    p_bound.add_argument("--offset-max", type=int, default=1024)
+    p_bound.add_argument("--offset-step", type=_positive_int, default=128)
+    p_simulate.add_argument("--trials", type=_positive_int, default=1000)
 
     return parser
 

@@ -214,10 +214,10 @@ def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
     cell is rejected.
     """
     n, m = len(q), len(r)
-    ref_span = r[-1] - r[0]
     best = None
     # overflow on huge onset times shows up as a non-finite score instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ref_span = r[-1] - r[0]
         # a single cell (n == m) is its own maximum: nothing to filter
         cells = [(0, n - 1)] if n == m else _candidate_cells(q, r)
         for i, j in cells:
@@ -260,14 +260,15 @@ def correlative_match(query: OnsetSequence,
     # matched/detected both come back in query-side seconds
     score, alpha_inv, beta_inv, swapped = _correlative_core(
         r, q, reference.unit)
-    matched = OnsetSequence(
-        times=(swapped.detected_onsets.times - alpha_inv) / beta_inv,
-        unit=query.unit,
-    )
-    detected = OnsetSequence(
-        times=(swapped.matched_entries.times - alpha_inv) / beta_inv,
-        unit=query.unit,
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        matched_times = (swapped.detected_onsets.times - alpha_inv) / beta_inv
+        detected_times = (swapped.matched_entries.times - alpha_inv) / beta_inv
+        alpha, beta = -alpha_inv / beta_inv, 1.0 / beta_inv
+    if not np.all(np.isfinite(np.concatenate(
+            ([alpha, beta], matched_times, detected_times)))):
+        raise ValueError("the inverse of the fitted map overflows")
+    matched = OnsetSequence(times=matched_times, unit=query.unit)
+    detected = OnsetSequence(times=detected_times, unit=query.unit)
     result = MatchResult(
         matched_entries=matched,
         detected_onsets=detected,
@@ -276,8 +277,8 @@ def correlative_match(query: OnsetSequence,
     )
     return SimilarityResult(
         score=score,
-        alpha=-alpha_inv / beta_inv,
-        beta=1.0 / beta_inv,
+        alpha=alpha,
+        beta=beta,
         predicted_onsets=matched,
         match=result,
     )

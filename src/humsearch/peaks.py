@@ -74,12 +74,15 @@ class OnsetSequence:
     unit: Literal["seconds", "beats"] = "seconds"
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
+        try:
+            times = np.asarray(self.times, dtype=np.float64)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError("onset times must be finite") from None
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if not np.all(np.isfinite(times)):
             raise ValueError("onset times must be finite")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):  # np.diff could overflow
             raise ValueError("onset times must be strictly increasing")
         if self.unit not in ("seconds", "beats"):
             raise ValueError(f"unknown unit: {self.unit}")

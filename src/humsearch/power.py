@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 from scipy.integrate import quad
@@ -109,22 +108,19 @@ class OnsetModel:
 
 @dataclass(frozen=True)
 class PowerCurve:
-    """Per-offset probability that an onset is emitted at that offset."""
+    """Per-offset probability that an onset is emitted at that offset,
+    with the standard error of each estimate."""
 
     offsets: np.ndarray = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
-    kind: Literal["analytic_lower_bound", "monte_carlo"]
-    detector_kind: str
-    trials: int | None = None
-    seed: int | None = None
-    stderrs: np.ndarray | None = field(default=None, repr=False)
+    stderrs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if np.any((probs < 0) | (probs > 1)):
             raise ValueError("probabilities must lie in [0, 1]")
-        if len(probs) != len(self.offsets):
-            raise ValueError("offsets and probabilities must align")
+        if not len(probs) == len(self.offsets) == len(self.stderrs):
+            raise ValueError("offsets, probabilities and stderrs must align")
 
 
 @dataclass(frozen=True)
@@ -275,34 +271,26 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
 
 
 def energy_power_curve(model: OnsetModel, peak_config: PeakConfig,
-                       threshold: float, offsets, *,
-                       window_length: int = WINDOW_LENGTH,
-                       hop: int = DETECTORS["energy"].hop,
-                       draws: int = 100_000, seed: int = 0) -> PowerCurve:
-    """Evaluate :func:`energy_power_lower_bound` over a grid of offsets."""
+                       threshold: float, offsets, *, seed: int = 0,
+                       **bound_options) -> PowerCurve:
+    """Evaluate :func:`energy_power_lower_bound` over a grid of offsets,
+    with seed ``seed + i`` at the i-th offset; ``bound_options``
+    (``window_length``, ``hop``, ``draws``) are passed on to it."""
     offsets = np.asarray(offsets, dtype=np.int64)
     probs = np.empty(len(offsets))
     errs = np.empty(len(offsets))
     for i, d in enumerate(offsets):
         result = energy_power_lower_bound(
-            model, peak_config, threshold, int(d),
-            window_length=window_length, hop=hop, draws=draws,
-            seed=seed + i)
+            model, peak_config, threshold, int(d), seed=seed + i,
+            **bound_options)
         probs[i] = result.probability
         errs[i] = result.stderr
-    return PowerCurve(
-        offsets=offsets,
-        probabilities=probs,
-        kind="analytic_lower_bound",
-        detector_kind="energy",
-        seed=seed,
-        stderrs=errs,
-    )
+    return PowerCurve(offsets=offsets, probabilities=probs, stderrs=errs)
 
 
 def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
-                      peak_config: PeakConfig, trials: int, seed: int, *,
-                      window_length: int = WINDOW_LENGTH,
+                      peak_config: PeakConfig, trials: int, seed: int = 0,
+                      *, window_length: int = WINDOW_LENGTH,
                       hop: int | None = None,
                       cutoff_hz: float = CUTOFF_HZ) -> PowerCurve:
     """Estimate the per-offset emission probability by simulating the full
@@ -333,25 +321,15 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
                          minlength=n_frames)
 
     centers = np.arange(n_frames) * hop + window_length // 2
-    return PowerCurve(
-        offsets=centers - model.onset_index,
-        probabilities=counts / trials,
-        kind="monte_carlo",
-        detector_kind=detector_kind,
-        trials=trials,
-        seed=seed,
-    )
+    probs = counts / trials
+    return PowerCurve(offsets=centers - model.onset_index,
+                      probabilities=probs,
+                      stderrs=np.sqrt(probs * (1.0 - probs) / trials))
 
 
 def write_power_csv(curve: PowerCurve, fh) -> None:
     """Emit (offset_samples, probability, stderr) rows."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["offset_samples", "probability", "stderr"])
-    for i, (d, p) in enumerate(zip(curve.offsets, curve.probabilities)):
-        if curve.stderrs is not None:
-            err = curve.stderrs[i]
-        elif curve.trials:
-            err = math.sqrt(p * (1.0 - p) / curve.trials)
-        else:
-            err = 0.0
+    for d, p, err in zip(curve.offsets, curve.probabilities, curve.stderrs):
         writer.writerow([int(d), repr(float(p)), f"{err:.3e}"])

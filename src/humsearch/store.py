@@ -13,8 +13,6 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .peaks import OnsetSequence
 
 __all__ = ["SongRecord", "Database", "DatabaseError", "db_load", "db_save",
@@ -33,12 +31,11 @@ class SongRecord:
 
     def __post_init__(self):
         if not self.id:
-            raise DatabaseError("record id must be non-empty")
+            raise DatabaseError("id must be non-empty")
         if self.onsets_beats.unit != "beats":
-            raise DatabaseError(f"record {self.id!r}: onsets must be in beats")
+            raise DatabaseError("onsets must be in beats")
         if len(self.onsets_beats) < 2:
-            raise DatabaseError(
-                f"record {self.id!r}: needs at least 2 onsets")
+            raise DatabaseError("needs at least 2 onsets")
 
 
 @dataclass(frozen=True)
@@ -76,19 +73,13 @@ def _parse_record(obj, index: int) -> SongRecord:
     onsets = obj["onsets_beats"]
     if not isinstance(song_id, str) or not isinstance(title, str):
         raise DatabaseError(f"{where}: id and title must be strings")
-    if not is_number_array(onsets):
-        raise DatabaseError(f"{where} ({song_id!r}): onsets_beats must be "
-                            "an array of numbers")
-    times = np.asarray(onsets, dtype=np.float64)
-    if len(times) < 2:
-        raise DatabaseError(f"{where} ({song_id!r}): needs at least 2 onsets")
-    if not np.all(np.diff(times) > 0):
-        raise DatabaseError(f"{where} ({song_id!r}): non-increasing onsets")
     try:
-        onsets_beats = OnsetSequence(times=times, unit="beats")
+        if not is_number_array(onsets):
+            raise DatabaseError("onsets_beats must be an array of numbers")
+        return SongRecord(id=song_id, title=title, onsets_beats=OnsetSequence(
+            times=onsets, unit="beats"))
     except ValueError as exc:
         raise DatabaseError(f"{where} ({song_id!r}): {exc}") from exc
-    return SongRecord(id=song_id, title=title, onsets_beats=onsets_beats)
 
 
 def db_load(path) -> Database:
@@ -96,7 +87,7 @@ def db_load(path) -> Database:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DatabaseError(f"parse error: {exc}") from exc
     if not isinstance(doc, list):
         raise DatabaseError("top-level document must be an array")

@@ -1,10 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from humsearch.audio import (
     EmptyAudioError,
     Signal,
     WavFormatError,
+    _decode_wav,
     load_wav,
 )
 
@@ -60,6 +65,11 @@ class TestLoadWav:
         sig = load_wav(path)
         assert sig.samples == pytest.approx([0.25, 1.0, -1.0])
 
+    def test_float32_infinities_clamped(self, tmp_path):
+        path = tmp_path / "f32inf.wav"
+        write_float_wav(path, np.array([np.inf, -np.inf, 0.5]))
+        assert load_wav(path).samples.tolist() == [1.0, -1.0, 0.5]
+
     def test_float32_stereo(self, tmp_path):
         path = tmp_path / "f32s.wav"
         write_float_wav(path, np.array([[0.5, -0.25]]), channels=2)
@@ -80,3 +90,43 @@ class TestLoadWav:
         write_pcm_wav(path, np.zeros(0))
         with pytest.raises(EmptyAudioError):
             load_wav(path)
+
+
+def riff(format_tag, channels, sample_rate, bits, payload, fmt_extra=b""):
+    """A RIFF/WAVE document with one fmt chunk and one data chunk."""
+    fmt = struct.pack("<HHIIHH", format_tag, channels, sample_rate, 0, 0,
+                      bits) + fmt_extra
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"\0" * (len(fmt) % 2)
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+wav_documents = st.builds(
+    riff,
+    format_tag=st.sampled_from([1, 2, 3, 0xFFFE]),
+    channels=st.integers(0, 3),
+    sample_rate=st.integers(0, 2 ** 32 - 1),
+    bits=st.sampled_from([0, 8, 12, 16, 24, 32, 64]),
+    payload=st.binary(max_size=48),
+    fmt_extra=st.binary(max_size=12),
+)
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        wav_documents,
+        st.tuples(wav_documents, st.integers(0, 120)).map(
+            lambda doc_cut: doc_cut[0][:doc_cut[1]]),
+    ))
+    # a 32-bit float sample that is a signalling NaN
+    @example(riff(3, 1, 48000, 32, struct.pack("<If", 0x7F800001, 0.5)))
+    def test_decodes_or_raises_value_error(self, data):
+        try:
+            signal = _decode_wav(data)
+        except ValueError:
+            return
+        assert len(signal) > 0
+        assert np.all(np.abs(signal.samples) <= 1.0)

@@ -1,15 +1,27 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from humsearch import cli, detect
-from humsearch.audio import Signal
-from humsearch.cli import PipelineConfig, main
-from humsearch.detect import run_detector
-from humsearch.peaks import symmetric_neighbors
-from humsearch.power import OnsetModel, monte_carlo_power
+from humsearch.audio import Signal, load_wav
+from humsearch.cli import main
+from humsearch.detect import DETECTORS, run_detector
+from humsearch.peaks import (OnsetSequence, PeakConfig, detect_peaks,
+                             symmetric_neighbors)
+from humsearch.power import (
+    REFERENCE_SSNR,
+    OnsetModel,
+    energy_power_curve,
+    monte_carlo_power,
+    write_power_csv,
+)
+from humsearch.search import rank
 from humsearch.spectral import band_limit_bins, stft
+from humsearch.store import db_load
 
 from conftest import write_pcm_wav
 
@@ -39,41 +51,112 @@ def write_db(path, patterns):
     return path
 
 
-class TestPipelineConfig:
+def library_csv(curve):
+    buf = io.StringIO()
+    write_power_csv(curve, buf)
+    return buf.getvalue()
+
+
+class TestCliEqualsLibrary:
+    """Each command with no tuning flags gives what the library gives with
+    its own defaults, and the detector table is the one source of the
+    per-detector settings."""
+
+    MODEL_ARGS = ["--length", "16384", "--onset-index", "8192"]
+
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_detect_equals_library(self, kind, tmp_path, capsys):
+        path = click_train_wav(tmp_path / "clicks.wav", [0.5, 1.0, 1.6, 2.5])
+        name = DETECTORS[kind].cli_name
+        assert main(["detect", str(path), "--json", "--detector", name]) == 0
+        config = PeakConfig(neighbors=symmetric_neighbors(
+            DETECTORS[kind].neighbor_radius))
+        onsets = detect_peaks(run_detector(load_wav(path), kind), config)
+        assert len(onsets) >= 4
+        assert capsys.readouterr().out == onsets.to_json() + "\n"
+
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_simulate_equals_library(self, kind, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["power", "simulate", "--detector",
+                     DETECTORS[kind].cli_name, "--trials", "3",
+                     "--out", str(out)] + self.MODEL_ARGS) == 0
+        config = PeakConfig(neighbors=symmetric_neighbors(
+            DETECTORS[kind].neighbor_radius))
+        curve = monte_carlo_power(
+            OnsetModel.from_ssnr(length=16384, onset_index=8192), kind,
+            config, trials=3)
+        assert out.read_text() == library_csv(curve)
+
+    def test_bound_equals_library(self, tmp_path, capsys):
+        out = tmp_path / "bound.csv"
+        assert main(["power", "bound", "--draws", "300", "--offset-min",
+                     "-512", "--offset-max", "512", "--offset-step", "512",
+                     "--out", str(out)] + self.MODEL_ARGS) == 0
+        model = OnsetModel.from_ssnr(length=16384, onset_index=8192)
+        curve = energy_power_curve(
+            model, PeakConfig(), REFERENCE_SSNR * model.noise_sd ** 2,
+            [-512, 0, 512], draws=300)
+        assert out.read_text() == library_csv(curve)
+
+    def test_search_equals_library(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        db = write_db(tmp_path / "db.json", {
+            f"s{i}": np.cumsum(rng.integers(1, 4, size=8)) for i in range(8)})
+        query = tmp_path / "query.json"
+        times = [0.0, 0.5, 1.5, 2.0, 3.0, 3.5, 4.5]
+        query.write_text(json.dumps(times))
+        assert main(["search", str(query), "--db", str(db), "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        result = rank(db_load(db), OnsetSequence(times=times))
+        assert len(got) == len(result.entries) == 5
+        assert got == [
+            {"rank": i + 1, "id": e.song_id, "title": e.title,
+             "score": e.score, "alpha": e.alpha, "beta": e.beta,
+             "close": e.within_closeness}
+            for i, e in enumerate(result.entries)]
+
+    @pytest.mark.parametrize("flags", [
+        ["--detector", "sd"], ["--min-gap", "0.2"], ["--threshold", "q3"],
+        ["--threshold-scale", "2"], ["--cutoff-hz", "500"],
+    ])
+    def test_bound_rejects_flags_it_does_not_read(self, flags, capsys):
+        assert main(["power", "bound"] + flags) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_calibrated_defaults(self):
-        energy = PipelineConfig.defaults_for("energy")
-        assert (energy.window_length, energy.hop) == (4096, 512)
-        assert energy.neighbors == symmetric_neighbors(8)
-        assert energy.threshold_rule == "mean_scaled"
-        sd = PipelineConfig.defaults_for("spectral_dissimilarity")
-        assert (sd.hop, sd.neighbors) == (2048, symmetric_neighbors(4))
-        dsd = PipelineConfig.defaults_for("dominant_spectral_dissimilarity")
-        assert (dsd.hop, dsd.neighbors) == (2048, symmetric_neighbors(2))
+        parser = cli._Parser()
+        cli._add_detector_flags(parser)
+        for name, hop, radius in (("energy", 512, 8), ("sd", 2048, 4),
+                                  ("dsd", 2048, 2)):
+            kind = cli._KIND_BY_NAME[name]
+            config = cli._peak_config(
+                parser.parse_args(["--detector", name]), kind)
+            assert config.neighbors == symmetric_neighbors(radius)
+            assert (config.threshold_rule, config.threshold_scale,
+                    config.min_gap) == ("mean_scaled", 1.0, 0.1)
+            assert (DETECTORS[kind].hop, detect.WINDOW_LENGTH) == (hop, 4096)
 
     def test_defaults_come_from_the_detector_table(self, rng):
         sig = Signal(samples=rng.normal(size=SR), sample_rate=SR)
         model = OnsetModel.from_ssnr(onset_index=8192, length=16384)
         parser = cli._Parser()
         cli._add_detector_flags(parser)
-        names = {d.cli_name for d in detect.DETECTORS.values()}
+        names = {d.cli_name for d in DETECTORS.values()}
         assert {parser.parse_args(["--detector", n]).detector
                 for n in names} == names
+        assert parser.parse_args([]).detector == (
+            DETECTORS["spectral_dissimilarity"].cli_name)
         with pytest.raises(cli.UsageError):
             parser.parse_args(["--detector", "zero_crossings"])
-        for kind, defaults in detect.DETECTORS.items():
-            config = cli._pipeline_config(
-                parser.parse_args(["--detector", defaults.cli_name]))
-            assert config == PipelineConfig.defaults_for(kind)
-            assert config.detector_kind == kind
-            assert (config.window_length, config.hop, config.cutoff_hz,
-                    config.neighbors) == (
-                detect.WINDOW_LENGTH, defaults.hop, detect.CUTOFF_HZ,
+        for kind, defaults in DETECTORS.items():
+            args = parser.parse_args(["--detector", defaults.cli_name])
+            assert cli._peak_config(args, kind).neighbors == (
                 symmetric_neighbors(defaults.neighbor_radius))
             series = run_detector(sig, kind)
             assert (series.hop, series.window_length) == (
                 defaults.hop, detect.WINDOW_LENGTH)
-            curve = monte_carlo_power(model, kind, config.peak_config(),
-                                      trials=1, seed=0)
+            curve = monte_carlo_power(model, kind, PeakConfig(), trials=1)
             assert set(np.diff(curve.offsets)) == {defaults.hop}
             assert curve.offsets[0] == (detect.WINDOW_LENGTH // 2
                                         - model.onset_index)
@@ -133,10 +216,19 @@ class TestDb:
         out = capsys.readouterr().out
         assert "s1" in out and "Song One" in out
 
-    def test_add_unsorted_onsets_rejected(self, tmp_path):
+    def test_add_unsorted_onsets_rejected(self, tmp_path, capsys):
         db = tmp_path / "db.json"
         assert main(["db", "add", "--db", str(db), "--id", "s1",
                      "--title", "Bad", "--onsets", "3,1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: record 's1': onset times must be strictly increasing\n")
+
+    def test_add_one_onset_rejected(self, tmp_path, capsys):
+        db = tmp_path / "db.json"
+        assert main(["db", "add", "--db", str(db), "--id", "s1",
+                     "--title", "Bad", "--onsets", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: record 's1': needs at least 2 onsets\n")
 
     def test_add_duplicate_id_rejected(self, tmp_path):
         db = tmp_path / "db.json"
@@ -258,6 +350,35 @@ class TestSearch:
         assert "re-record" in capsys.readouterr().err
 
 
+onset_values = st.one_of(st.floats(), st.integers(), st.booleans())
+
+
+class TestListingFuzz:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        return write_db(root / "db.json", TestSearch.PATTERNS), root / "q.txt"
+
+    @settings(max_examples=200, deadline=None)
+    @given(listing=st.one_of(
+        st.text(max_size=40),
+        st.lists(onset_values, max_size=8).map(json.dumps),
+        st.lists(st.floats(), max_size=8).map(
+            lambda xs: "\n".join(map(repr, xs))),
+    ))
+    # an integer beyond the float range
+    @example(listing="[0, 1" + "0" * 400 + "]")
+    # overflow in the ordering check, and in inverting a fitted map
+    @example(listing="1.7976931348623157e+308\n-9.9792015476736e+291")
+    @example(listing="0.0\n1.7976931348623153e+308")
+    @example(listing="-2.9937604643020797e+292\n1.7976931348623155e+308")
+    @example(listing="[" * 100_000 + "]" * 100_000)  # too deep to decode
+    def test_search_ends_in_a_documented_exit_code(self, paths, listing):
+        db, query = paths
+        query.write_text(listing, encoding="utf-8")
+        assert main(["search", str(query), "--db", str(db)]) in (0, 2, 3)
+
+
 class TestPower:
     SIM_ARGS = ["power", "simulate", "--detector", "dsd", "--trials", "3",
                 "--length", "16384", "--onset-index", "8192", "--seed", "5"]
@@ -273,7 +394,15 @@ class TestPower:
 
     def test_simulate_zero_trials_usage_error(self, capsys):
         assert main(["power", "simulate", "--trials", "0"]) == 1
-        assert "usage error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "usage error: argument --trials: must be >= 1, got 0\n")
+
+    def test_bound_nonpositive_offset_step_usage_error(self, capsys):
+        for step in ("0", "-128"):
+            assert main(["power", "bound", "--offset-step", step]) == 1
+            assert capsys.readouterr().err == (
+                "usage error: argument --offset-step: must be >= 1, "
+                f"got {step}\n")
 
     def test_bound_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"

@@ -221,6 +221,14 @@ class TestMonteCarloPower:
         assert np.array_equal(a.probabilities, b.probabilities)
         assert np.array_equal(a.offsets, b.offsets)
 
+    def test_binomial_stderrs(self):
+        cfg = PeakConfig(neighbors=symmetric_neighbors(2))
+        curve = monte_carlo_power(self._model(), "energy", cfg, trials=7,
+                                  seed=3)
+        assert 0 < curve.probabilities.max()
+        assert [float(e) for e in curve.stderrs] == [
+            math.sqrt(p * (1.0 - p) / 7) for p in curve.probabilities]
+
     def test_mass_concentrates_near_onset(self):
         cfg = PeakConfig(neighbors=symmetric_neighbors(4))
         curve = monte_carlo_power(self._model(), "spectral_dissimilarity",
@@ -239,16 +247,23 @@ class TestPowerCurve:
     def test_probability_range_enforced(self):
         with pytest.raises(ValueError):
             PowerCurve(offsets=np.array([0]), probabilities=np.array([1.5]),
-                       kind="monte_carlo", detector_kind="energy")
+                       stderrs=np.array([0.0]))
+
+    def test_arrays_must_align(self):
+        with pytest.raises(ValueError, match="align"):
+            PowerCurve(offsets=np.array([0, 1]),
+                       probabilities=np.array([0.5, 0.5]),
+                       stderrs=np.array([0.1]))
 
     def test_csv_format(self):
         curve = PowerCurve(offsets=np.array([-512, 0]),
                            probabilities=np.array([0.25, 1.0]),
-                           kind="monte_carlo", detector_kind="energy",
-                           trials=100, seed=0)
+                           stderrs=np.array([math.sqrt(0.25 * 0.75 / 100),
+                                             0.0]))
         buf = io.StringIO()
         write_power_csv(curve, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "offset_samples,probability,stderr"
-        assert lines[1].startswith("-512,0.25,")
-        assert lines[2].startswith("0,1.0,0.000e")
+        assert buf.getvalue().splitlines() == [
+            "offset_samples,probability,stderr",
+            "-512,0.25,4.330e-02",
+            "0,1.0,0.000e+00",
+        ]

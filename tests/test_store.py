@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from humsearch.peaks import OnsetSequence
 from humsearch.store import (
@@ -63,8 +65,10 @@ class TestDbLoad:
         path.write_text(json.dumps([
             {"id": "s1", "title": "One", "onsets_beats": [0, 1, 1]},
         ]))
-        with pytest.raises(DatabaseError, match="non-increasing onsets"):
+        with pytest.raises(DatabaseError) as info:
             db_load(path)
+        assert str(info.value) == (
+            "record #0 ('s1'): onset times must be strictly increasing")
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "db.json"
@@ -81,6 +85,12 @@ class TestDbLoad:
         with pytest.raises(DatabaseError, match="parse error"):
             db_load(path)
 
+    def test_nested_too_deeply_to_decode(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DatabaseError, match="parse error"):
+            db_load(path)
+
     def test_top_level_must_be_array(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("{}")
@@ -93,8 +103,18 @@ class TestDbLoad:
             {"id": "ok", "title": "OK", "onsets_beats": [0, 1]},
             {"id": "bad", "title": "Bad", "onsets_beats": [5]},
         ]))
-        with pytest.raises(DatabaseError, match=r"record #1 \('bad'\)"):
+        with pytest.raises(DatabaseError) as info:
             db_load(path)
+        assert str(info.value) == "record #1 ('bad'): needs at least 2 onsets"
+
+    def test_empty_id(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps([
+            {"id": "", "title": "One", "onsets_beats": [0, 1]},
+        ]))
+        with pytest.raises(DatabaseError) as info:
+            db_load(path)
+        assert str(info.value) == "record #0 (''): id must be non-empty"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -144,3 +164,36 @@ class TestDbSave:
             db_save(Database(records=(record("new", [0, 2]),)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+record_like = st.fixed_dictionaries({
+    "id": st.text(max_size=3) | st.integers(),
+    "title": st.text(max_size=3),
+    "onsets_beats": st.lists(st.floats() | st.integers() | st.booleans(),
+                             max_size=6) | json_values,
+})
+
+
+class TestDbLoadFuzz:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "db.json"
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=json_values | st.lists(record_like | json_values, max_size=4))
+    # an integer beyond the float range
+    @example(doc=[{"id": "s", "title": "S", "onsets_beats": [0, 10 ** 400]}])
+    def test_loads_or_raises_database_error(self, path, doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            db = db_load(path)
+        except DatabaseError as exc:
+            assert str(exc).count("record #") <= 1
+            return
+        assert len(db) == len(doc)
