@@ -6,6 +6,8 @@ onsets as detected/missed.  Correlative matching searches over anchor
 pairs defining an affine time map from reference beats to query seconds,
 scoring each candidate alignment by the Pearson correlation of the matched
 pairs times a penalty of L^2/(m*n) for unmatched onsets on either side.
+The reference is always the side that is mapped; the anchors sit on the
+longer side, so a short query pins its ends to two reference onsets.
 
 All anchor cells of a song are scored in one batched NumPy pass; the
 batched scores only filter, and the cells within ``_TIE_TOL`` of their
@@ -57,7 +59,6 @@ class SimilarityResult:
     score: float
     alpha: float  # time offset, seconds
     beta: float   # scale, seconds per beat
-    predicted_onsets: OnsetSequence
     match: MatchResult
 
 
@@ -65,8 +66,8 @@ def _nearest_indices(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index of the nearest target for each point; ties break toward the
     earlier (smaller) target."""
     pos = np.searchsorted(targets, points)
-    left = np.clip(pos - 1, 0, len(targets) - 1)
-    right = np.clip(pos, 0, len(targets) - 1)
+    left = np.maximum(pos - 1, 0)
+    right = np.minimum(pos, len(targets) - 1)
     # prefer left on exact distance ties
     take_right = np.abs(targets[right] - points) < np.abs(points - targets[left])
     return np.where(take_right, right, left)
@@ -131,29 +132,39 @@ def _cell_score(q: np.ndarray, scaled_ref: np.ndarray,
 
 
 # Cells per batched chunk, in whole rows of anchors i; bounds the working
-# set to about _CHUNK_CELLS * m floats per array on long songs.
+# set to about _CHUNK_CELLS * len(reference) floats per array.
 _CHUNK_CELLS = 1024
 # Batched and exact scores agree far closer than this, so every cell that
 # can hold the exact maximum survives the filter.
 _TIE_TOL = 1e-9
 
 
+def _anchor_map(q: np.ndarray, r: np.ndarray, i, j):
+    """The map s = alpha + beta * r of the anchor cell (i, j), for scalar
+    or array anchors; the anchors index the longer side.
+
+    A query at least as long as the reference puts the reference's ends
+    r[0], r[-1] on q[i], q[j]; a shorter query puts r[i], r[j] on its own
+    ends q[0], q[-1].
+    """
+    if len(q) >= len(r):
+        beta = (q[j] - q[i]) / (r[-1] - r[0])
+        return q[i] - beta * r[0], beta
+    beta = (q[-1] - q[0]) / (r[j] - r[i])
+    return q[0] - beta * r[i], beta
+
+
 def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
                   jj: np.ndarray) -> np.ndarray:
-    """Scores of the anchor cells (ii, jj), computed together.
+    """Scores of the anchor cells (ii, jj), computed together; NaN for a
+    cell whose mapped reference is not a valid onset sequence.
 
     The affine maps and the mutual-nearest matching are bit-for-bit those
     of ``_cell_score``; only the Pearson sums round differently.
     """
     n, m = len(q), len(r)
-    beta = (q[jj] - q[ii]) / (r[-1] - r[0])
-    alpha = q[ii] - beta * r[0]
+    alpha, beta = _anchor_map(q, r, ii, jj)
     s = alpha[:, None] + beta[:, None] * r
-    invalid = ~(np.isfinite(s).all(axis=1)
-                & (np.diff(s, axis=1) > 0).all(axis=1))
-    if invalid.any():
-        # the error the cell-by-cell search meets at its first invalid cell
-        OnsetSequence(times=s[np.argmax(invalid)])
 
     # the nearest query onset x[c, k] of each mapped onset s[c, k]; the pair
     # is mutual iff s[c, k] is in turn the nearest mapped onset of x[c, k],
@@ -180,13 +191,16 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
     vs = (ds * ds).sum(axis=1)
     rho = np.divide((dx * ds).sum(axis=1), np.sqrt(vx * vs),
                     out=np.zeros(len(s)), where=(vx > 0) & (vs > 0))
-    return np.where(L >= 2, rho * (L * L / (n * m)), 0.0)
+    scores = np.where(L >= 2, rho * (L * L / (n * m)), 0.0)
+    # the onset-sequence check that _cell_score meets
+    valid = np.isfinite(s).all(axis=1) & (s[:, 1:] > s[:, :-1]).all(axis=1)
+    return np.where(valid, scores, np.nan)
 
 
 def _candidate_cells(q: np.ndarray, r: np.ndarray):
     """Anchors (i, j), in row-major order, whose batched score is within
     ``_TIE_TOL`` of the maximum or is not finite."""
-    n, m = len(q), len(r)
+    n, m = max(len(q), len(r)), min(len(q), len(r))
     rows = max(1, _CHUNK_CELLS // (n - m + 1))
     top = -np.inf
     kept = []
@@ -205,26 +219,26 @@ def _candidate_cells(q: np.ndarray, r: np.ndarray):
 
 
 def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
-    """Anchor-pair search assuming len(q) >= len(r).
+    """Anchor-pair search over the cells of ``_anchor_map``.
 
-    Anchors (i, j) propose that reference endpoints r[0], r[-1] land on
-    q[i], q[j]; cells with j - i < m - 1 are geometrically infeasible and
+    With n, m the longer and shorter length, the anchors (i, j) index the
+    longer side; cells with j - i < m - 1 are geometrically infeasible and
     never selected.  Arg-max ties break toward smallest i, then smallest j.
-    Cells whose score is not finite never win; a song without a finite
-    cell is rejected.
+    Cells whose score is not finite, or whose mapped reference overflows
+    or collapses, never win; a song with no other cell is rejected.
     """
-    n, m = len(q), len(r)
     best = None
     # overflow on huge onset times shows up as a non-finite score instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ref_span = r[-1] - r[0]
-        # a single cell (n == m) is its own maximum: nothing to filter
-        cells = [(0, n - 1)] if n == m else _candidate_cells(q, r)
+        # a single cell (equal lengths) is its own maximum: nothing to filter
+        cells = ([(0, len(q) - 1)] if len(q) == len(r)
+                 else _candidate_cells(q, r))
         for i, j in cells:
-            beta = (q[j] - q[i]) / ref_span
-            alpha = q[i] - beta * r[0]
-            scaled = alpha + beta * r
-            score, result = _cell_score(q, scaled, query_unit)
+            alpha, beta = _anchor_map(q, r, i, j)
+            try:
+                score, result = _cell_score(q, alpha + beta * r, query_unit)
+            except ValueError:  # the mapped reference overflows or collapses
+                continue
             if math.isfinite(score) and (best is None or score > best[0]):
                 best = (score, alpha, beta, result)
     if best is None:
@@ -237,48 +251,12 @@ def correlative_match(query: OnsetSequence,
     """Best affine alignment of query onsets (seconds) against reference
     onsets (beats), scored by penalized Pearson correlation.
 
-    When the query has fewer onsets than the reference the roles are
-    swapped internally and the fitted map is inverted, so the reported
-    alpha/beta and predicted onsets stay query-side.
+    The reference is always mapped onto the query, s = alpha + beta * r,
+    so alpha and beta are query-side and the matched entries are query
+    onsets, whichever side is longer.
     """
-    q = query.times
-    r = reference.times
-    if len(q) < 2 or len(r) < 2:
+    if len(query) < 2 or len(reference) < 2:
         raise ValueError("need at least 2 onsets on each side")
-
-    if len(q) >= len(r):
-        score, alpha, beta, result = _correlative_core(q, r, query.unit)
-        return SimilarityResult(
-            score=score,
-            alpha=alpha,
-            beta=beta,
-            predicted_onsets=result.matched_entries,
-            match=result,
-        )
-
-    # deficit case: fit beats = alpha' + beta' * seconds, then invert so
-    # matched/detected both come back in query-side seconds
-    score, alpha_inv, beta_inv, swapped = _correlative_core(
-        r, q, reference.unit)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        matched_times = (swapped.detected_onsets.times - alpha_inv) / beta_inv
-        detected_times = (swapped.matched_entries.times - alpha_inv) / beta_inv
-        alpha, beta = -alpha_inv / beta_inv, 1.0 / beta_inv
-    if not np.all(np.isfinite(np.concatenate(
-            ([alpha, beta], matched_times, detected_times)))):
-        raise ValueError("the inverse of the fitted map overflows")
-    matched = OnsetSequence(times=matched_times, unit=query.unit)
-    detected = OnsetSequence(times=detected_times, unit=query.unit)
-    result = MatchResult(
-        matched_entries=matched,
-        detected_onsets=detected,
-        false_positives=swapped.false_negatives,
-        false_negatives=swapped.false_positives,
-    )
-    return SimilarityResult(
-        score=score,
-        alpha=alpha,
-        beta=beta,
-        predicted_onsets=matched,
-        match=result,
-    )
+    score, alpha, beta, result = _correlative_core(
+        query.times, reference.times, query.unit)
+    return SimilarityResult(score=score, alpha=alpha, beta=beta, match=result)

@@ -1,8 +1,8 @@
 """Peak picking: turn a detection series into an onset sequence.
 
-Indices are visited at a configurable stride; an index is emitted as an
-onset when its statistic clears an adaptive threshold and strictly exceeds
-every configured neighbor.  Onsets closer than ``min_gap`` seconds to the
+Every index is visited in turn; an index is emitted as an onset when its
+statistic clears an adaptive threshold and strictly exceeds every
+configured neighbor.  Onsets closer than ``min_gap`` seconds to the
 previous emission are merged away by skipping ahead, since two sounds less
 than a tenth of a second apart are not heard as distinct.
 """
@@ -39,12 +39,11 @@ def symmetric_neighbors(r: int) -> tuple[int, ...]:
 class PeakConfig:
     """Peak-picking parameters.
 
-    ``hopsize`` and ``neighbors`` are in series-index units.  ``min_gap``
-    is in seconds of series time.  The defaults are the energy detector's
-    calibrated settings.
+    ``neighbors`` are in series-index units.  ``min_gap`` is in seconds of
+    series time.  The defaults are the energy detector's calibrated
+    settings.
     """
 
-    hopsize: int = 1
     neighbors: tuple[int, ...] = symmetric_neighbors(
         DETECTORS["energy"].neighbor_radius)
     threshold_rule: ThresholdRule = "mean_scaled"
@@ -52,8 +51,6 @@ class PeakConfig:
     min_gap: float = 0.1
 
     def __post_init__(self):
-        if self.hopsize < 1:
-            raise ValueError("hopsize must be >= 1")
         neighbors = tuple(int(a) for a in self.neighbors)
         if not neighbors or any(a == 0 for a in neighbors):
             raise ValueError("neighbors must be non-empty and non-zero")
@@ -115,7 +112,7 @@ def threshold_value(series: DetectionSeries, rule: ThresholdRule,
 def detect_peaks(series: DetectionSeries, config: PeakConfig) -> OnsetSequence:
     """Pick onset times from a detection series.
 
-    Visits indices 0, h, 2h, ...; index k is emitted iff T[k] strictly
+    Visits indices 0, 1, 2, ...; index k is emitted iff T[k] strictly
     exceeds the threshold and T[k] > T[k + a] for every neighbor offset a
     (out-of-range neighbors count as 0, so boundary peaks remain
     detectable).  After an emission at time t, iteration resumes at the
@@ -135,10 +132,10 @@ def detect_peaks(series: DetectionSeries, config: PeakConfig) -> OnsetSequence:
             onsets.append(float(times[k]))
             resume = np.searchsorted(times, times[k] + config.min_gap, "right")
             if resume <= k:  # guard against pathological time grids
-                resume = k + config.hopsize
+                resume = k + 1
             k = int(resume)
         else:
-            k += config.hopsize
+            k += 1
     return OnsetSequence(times=np.asarray(onsets), unit="seconds")
 
 

@@ -368,7 +368,7 @@ class TestListingFuzz:
     ))
     # an integer beyond the float range
     @example(listing="[0, 1" + "0" * 400 + "]")
-    # overflow in the ordering check, and in inverting a fitted map
+    # overflow in the ordering check, and in mapping a song onto the query
     @example(listing="1.7976931348623157e+308\n-9.9792015476736e+291")
     @example(listing="0.0\n1.7976931348623153e+308")
     @example(listing="-2.9937604643020797e+292\n1.7976931348623155e+308")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from humsearch import match
 from humsearch.match import (
     MatchResult,
+    SimilarityResult,
     _cell_score,
     correlative_match,
     pearson,
@@ -63,23 +64,71 @@ def brute_force_correlative(q, r):
     return best
 
 
+def loop_cells(q, r, query_unit):
+    """(score, alpha, beta, result) of every feasible anchor cell, in (i, j)
+    order over the longer side, mapping the reference onto the query; a
+    cell whose mapped reference is not an onset sequence scores NaN."""
+    n, m = max(len(q), len(r)), min(len(q), len(r))
+    for i in range(n - m + 1):
+        for j in range(i + m - 1, n):
+            if len(q) >= len(r):  # the reference's ends land on q[i], q[j]
+                beta = (q[j] - q[i]) / (r[-1] - r[0])
+                alpha = q[i] - beta * r[0]
+            else:  # r[i], r[j] land on the query's ends
+                beta = (q[-1] - q[0]) / (r[j] - r[i])
+                alpha = q[0] - beta * r[i]
+            try:
+                score, result = _cell_score(q, alpha + beta * r, query_unit)
+            except ValueError:
+                score, result = np.nan, None
+            yield score, alpha, beta, result
+
+
 def loop_correlative_core(q, r, query_unit):
     """The cell-by-cell anchor search the batched kernel replaced, kept as
-    its oracle: one ``_cell_score`` per feasible cell, in (i, j) order."""
-    n, m = len(q), len(r)
-    ref_span = r[-1] - r[0]
+    its oracle: one ``_cell_score`` per feasible cell; the first cell with
+    the largest finite score wins."""
     best = None
-    for i in range(n - m + 1):
-        for j in range(max(m - 1, i + m - 1), n):
-            beta = (q[j] - q[i]) / ref_span
-            alpha = q[i] - beta * r[0]
-            scaled = alpha + beta * r
-            score, result = _cell_score(q, scaled, query_unit)
-            if best is None or score > best[0]:
-                best = (score, alpha, beta, result)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for cell in loop_cells(q, r, query_unit):
+            if np.isfinite(cell[0]) and (best is None or cell[0] > best[0]):
+                best = cell
     if best is None:
-        raise ValueError("no feasible anchor cell")
+        raise ValueError("no anchor cell gives a finite score")
     return best
+
+
+def swapped_correlative_match(query, reference):
+    """The anchor search before it had a single direction, kept as its
+    oracle: a query shorter than the reference swapped the roles, fitted
+    beats from seconds and inverted the fitted map."""
+
+    def core(q, r, unit):  # the longer q's anchors take r's ends
+        best = None
+        for i in range(len(q) - len(r) + 1):
+            for j in range(i + len(r) - 1, len(q)):
+                beta = (q[j] - q[i]) / (r[-1] - r[0])
+                alpha = q[i] - beta * r[0]
+                score, result = _cell_score(q, alpha + beta * r, unit)
+                if best is None or score > best[0]:
+                    best = (score, alpha, beta, result)
+        return best
+
+    q, r = query.times, reference.times
+    if len(q) >= len(r):
+        score, alpha, beta, result = core(q, r, query.unit)
+        return SimilarityResult(score, alpha, beta, result)
+    score, alpha_inv, beta_inv, swapped = core(r, q, reference.unit)
+    result = MatchResult(
+        matched_entries=seq((swapped.detected_onsets.times - alpha_inv)
+                            / beta_inv),
+        detected_onsets=seq((swapped.matched_entries.times - alpha_inv)
+                            / beta_inv),
+        false_positives=swapped.false_negatives,
+        false_negatives=swapped.false_positives,
+    )
+    return SimilarityResult(score, -alpha_inv / beta_inv, 1.0 / beta_inv,
+                            result)
 
 
 def assert_same_similarity(got, want):
@@ -88,8 +137,7 @@ def assert_same_similarity(got, want):
     assert (got.match.false_positives, got.match.false_negatives) == (
         want.match.false_positives, want.match.false_negatives)
     for a, b in ((got.match.matched_entries, want.match.matched_entries),
-                 (got.match.detected_onsets, want.match.detected_onsets),
-                 (got.predicted_onsets, want.predicted_onsets)):
+                 (got.match.detected_onsets, want.match.detected_onsets)):
         assert a.unit == b.unit
         assert np.array_equal(a.times, b.times)
 
@@ -130,7 +178,7 @@ def tie_heavy_pair(draw):
         alpha = draw(st.sampled_from([0.0, 0.5, 3.25]))
         extra = draw(st.sets(st.integers(0, 60), max_size=10))
         q = np.union1d(alpha + beta * beats, 0.25 * np.array(sorted(extra)))
-        # drop some copied onsets to exercise the deficit side too
+        # drop some copied onsets to exercise the short-query side too
         keep = draw(st.integers(2, len(q)))
         q = q[:keep] if draw(st.booleans()) else q[len(q) - keep:]
     elif kind == "grid":
@@ -163,21 +211,12 @@ class TestBatchedAnchorSearch:
         # the filter's premise: every batched score is the cell's exact
         # score up to rounding far below _TIE_TOL
         q, r = pair[0].times, pair[1].times
-        if len(q) < len(r):
-            q, r = r, q
-        n, m = len(q), len(r)
+        n, m = max(len(q), len(r)), min(len(q), len(r))
         ii, jj = np.triu_indices(n, m - 1)
-        try:
-            batch = match._batch_scores(q, r, ii, jj)
-        except ValueError:
-            # some mapped reference collapses; the loop oracle meets it too
-            with pytest.raises(ValueError):
-                loop_correlative_core(q, r, "seconds")
-            return
+        batch = match._batch_scores(q, r, ii, jj)
         for c, (i, j) in enumerate(zip(ii, jj)):
-            beta = (q[j] - q[i]) / (r[-1] - r[0])
-            exact, _ = _cell_score(q, q[i] - beta * r[0] + beta * r,
-                                   "seconds")
+            alpha, beta = match._anchor_map(q, r, i, j)
+            exact, _ = _cell_score(q, alpha + beta * r, "seconds")
             assert batch[c] == pytest.approx(exact, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("deficit", [False, True])
@@ -211,6 +250,23 @@ class TestBatchedAnchorSearch:
         with pytest.raises(ValueError, match="finite score"):
             correlative_match(seq([0.0, 0.5, 1.5, 1e308]),
                               seq([0, 1, 2, 3], unit="beats"))
+
+    def test_invalid_cell_never_wins(self):
+        # cell (0, 1) maps the reference with beta = inf, so it is no onset
+        # sequence; the other two cells score 2/3 and the first one wins
+        query, reference = seq([0.0, 1.0]), seq([0, 5e-324, 1], unit="beats")
+        assert_matches_loop(query, reference)
+        result = correlative_match(query, reference)
+        assert (result.score, result.alpha, result.beta) == (2 / 3, 0.0, 1.0)
+
+    @pytest.mark.parametrize("query, reference", [
+        ([-1.7976931348623157e308, 1.7976931348623157e308], [0, 1, 2]),
+        ([0.0, 0.5, 1.5, 1e308], [0, 1, 2, 3, 4, 5]),
+    ])
+    def test_song_without_a_valid_cell_is_rejected(self, query, reference):
+        # every mapped reference overflows or collapses, or its score does
+        with pytest.raises(ValueError, match="no anchor cell gives a finite"):
+            correlative_match(seq(query), seq(reference, unit="beats"))
 
 
 class TestPearson:
@@ -342,7 +398,7 @@ class TestCorrelativeMatch:
             score, alpha, beta = brute_force_correlative(q, r)
             assert result.score == pytest.approx(score, rel=1e-9, abs=1e-12)
 
-    def test_deficit_case_swaps_and_inverts(self):
+    def test_short_query_maps_the_reference_onto_it(self):
         beats = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
         full_query = 0.5 * beats + 2.0
         short_query = full_query[[0, 2, 4]]
@@ -351,8 +407,36 @@ class TestCorrelativeMatch:
         assert result.alpha == pytest.approx(2.0, rel=1e-9)
         # 3 of 5 reference onsets matched perfectly
         assert result.score == pytest.approx(9 / 15, rel=1e-9)
-        assert result.predicted_onsets.unit == "seconds"
-        assert result.predicted_onsets.times == pytest.approx(short_query)
+        assert result.match.matched_entries.unit == "seconds"
+        assert result.match.matched_entries.times == pytest.approx(
+            short_query)
+
+    def test_agrees_with_the_role_swap(self, rng):
+        # without exact arg-max ties, mapping the song onto a short query
+        # finds the cell that swapping the roles and inverting the map did
+        compared = 0
+        while compared < 300:
+            q = np.sort(rng.uniform(0, 10, rng.integers(2, 13)))
+            r = np.sort(rng.uniform(0, 10, rng.integers(2, 13)))
+            with np.errstate(invalid="ignore"):
+                scores = sorted(c[0] for c in loop_cells(q, r, "seconds"))
+            if len(scores) > 1 and scores[-1] - scores[-2] < 1e-9:
+                continue
+            compared += 1
+            got = correlative_match(seq(q), seq(r, unit="beats"))
+            want = swapped_correlative_match(seq(q), seq(r, unit="beats"))
+            for a, b in ((got.score, want.score), (got.alpha, want.alpha),
+                         (got.beta, want.beta)):
+                assert a == pytest.approx(b, rel=1e-12)
+            assert (got.match.false_positives, got.match.false_negatives) == (
+                want.match.false_positives, want.match.false_negatives)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=tie_heavy_pair())
+    def test_matched_entries_are_query_onsets(self, pair):
+        query, reference = pair
+        matched = correlative_match(query, reference).match.matched_entries
+        assert np.isin(matched.times, query.times).all()
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

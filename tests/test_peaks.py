@@ -42,7 +42,7 @@ def oracle_peaks(series, config):
                 k2 += 1
             k = k2
         else:
-            k += config.hopsize
+            k += 1
     return out
 
 
@@ -134,13 +134,6 @@ class TestDetectPeaks:
         cfg = PeakConfig(neighbors=(-1, 1))
         assert detect_peaks(series, cfg).times == pytest.approx([0.0])
 
-    def test_hopsize_skips_indices(self):
-        values = [0, 9, 0, 0, 0, 0]
-        series = series_of(values, dt=1.0)
-        cfg = PeakConfig(hopsize=2, neighbors=(-1, 1))
-        # index 1 is never visited at stride 2 starting from 0
-        assert len(detect_peaks(series, cfg)) == 0
-
     def test_min_gap_spacing_post_hoc(self, rng):
         series = series_of(rng.uniform(0, 1, 300), dt=0.02)
         cfg = PeakConfig(neighbors=(-2, -1, 1, 2), min_gap=0.1)
@@ -169,16 +162,13 @@ class TestDetectPeaks:
     @given(
         values=st.lists(st.floats(0, 100, allow_nan=False), min_size=1,
                         max_size=60),
-        hopsize=st.integers(1, 3),
         radius=st.integers(1, 4),
         rule=st.sampled_from(["mean_scaled", "third_quartile"]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_hand_enumeration_oracle(self, values, hopsize, radius,
-                                             rule):
+    def test_matches_hand_enumeration_oracle(self, values, radius, rule):
         series = series_of(values, dt=0.03)
-        cfg = PeakConfig(hopsize=hopsize,
-                         neighbors=symmetric_neighbors(radius),
+        cfg = PeakConfig(neighbors=symmetric_neighbors(radius),
                          threshold_rule=rule)
         got = detect_peaks(series, cfg).times
         assert got.tolist() == pytest.approx(oracle_peaks(series, cfg))
