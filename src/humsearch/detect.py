@@ -10,13 +10,12 @@ statistics over a sliding window, designed to spike at note onsets:
   squared maximum low-band bin magnitude.
 
 ``DETECTORS`` is the one table of per-detector defaults (CLI name, hop,
-peak-picking neighbor radius); ``WINDOW_LENGTH`` and ``CUTOFF_HZ`` are
-shared by all of them.
+peak-picking neighbor radius); ``WINDOW_LENGTH`` and ``CUTOFF_HZ``, shared
+by all of them, are defined in :mod:`.spectral` and re-exported here.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import spectral
 from .audio import Signal
-from .spectral import Spectrogram, frame_signal, frame_times
+from .spectral import (CUTOFF_HZ, WINDOW_LENGTH, Spectrogram, frame_signal,
+                       frame_times)
 
 __all__ = [
     "DetectionSeries",
@@ -37,7 +37,6 @@ __all__ = [
     "spectral_dissimilarity",
     "dominant_spectral_dissimilarity",
     "run_detector",
-    "write_series_csv",
 ]
 
 DetectorKind = Literal[
@@ -55,10 +54,6 @@ class DetectorDefaults:
     neighbor_radius: int
 
 
-WINDOW_LENGTH = 4096
-# Humming carries essentially no onset information above 1 kHz
-# (fundamental 80-200 Hz plus a few harmonics).
-CUTOFF_HZ = 1000.0
 DETECTORS: dict[str, DetectorDefaults] = {
     "energy": DetectorDefaults("energy", hop=512, neighbor_radius=8),
     "spectral_dissimilarity": DetectorDefaults("sd", hop=2048,
@@ -173,10 +168,3 @@ def run_detector(signal: Signal, kind: DetectorKind,
         return spectral_dissimilarity(spectrogram)
     return dominant_spectral_dissimilarity(spectrogram)
 
-
-def write_series_csv(series: DetectionSeries, fh) -> None:
-    """Emit (time_seconds, value) rows for external plotting."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["time_seconds", "value"])
-    for t, v in zip(series.times, series.values):
-        writer.writerow([f"{t:.6f}", repr(float(v))])

@@ -3,12 +3,13 @@
 The signal model is white Gaussian noise that switches, at a single onset
 sample k*, to a decaying sinusoid mean plus the same noise.  For the
 energy detector the window statistic over sigma^2 is (non)central
-chi-squared, which yields an analytic lower bound on the probability that
-an offset is emitted as an onset (Boole-Frechet over the threshold event
-and the neighbor comparisons) and a closed-form cap on the false-positive
-probability.  The spectral detectors have no tractable closed form, so
-their power curves are estimated by Monte Carlo over the full
-detector-plus-peak-picking pipeline.
+chi-squared, with a noncentrality in closed form (the antiderivative of
+the squared mean).  That yields an analytic lower bound on the probability
+that an offset is emitted as an onset (Boole-Frechet over the threshold
+event and the neighbor comparisons) and a closed-form cap on the
+false-positive probability.  The spectral detectors have no tractable
+closed form, so their power curves are estimated by Monte Carlo over the
+full detector-plus-peak-picking pipeline.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.stats import chi2, ncx2
 
 from .audio import Signal
@@ -145,42 +145,38 @@ def noncentrality_integral(model: OnsetModel, offset_samples: float) -> float:
 
     ``(S_f / sigma^2) * integral_0^t A^2 exp(-2 lam u) cos^2(2 pi f0 u) du``
 
-    with ``t = offset_samples / S_f``.  Monotone non-decreasing in the
-    offset.
+    with ``t = offset_samples / S_f``, evaluated through its antiderivative.
+    With ``a = 2 lam`` and ``b = 4 pi f0`` the integral is
+
+    ``A^2 [(1 - e^{-at}) / 2a
+    + (a + e^{-at} (b sin bt - a cos bt)) / 2(a^2 + b^2)]``,
+
+    and ``A^2 (t/2 + sin(bt) / 2b)`` without decay (``A^2 t`` if also
+    ``b = 0``).  Monotone non-decreasing in the offset.
     """
     if offset_samples < 0:
         raise ValueError("offset_samples must be non-negative")
-    if offset_samples == 0:
-        return 0.0
     t = offset_samples / model.sample_rate
-    a2 = model.amplitude ** 2
-    two_lam = 2.0 * model.decay
-    omega0 = 2 * np.pi * model.frequency
-    if two_lam > 0:
-        # beyond this point the decay envelope contributes less than
-        # ~1e-26 of the accumulated value; truncating keeps the
-        # oscillatory quadrature convergent for arbitrarily large offsets
-        t = min(t, 60.0 / two_lam)
-
-    def integrand(u):
-        return a2 * math.exp(-two_lam * u) * math.cos(omega0 * u) ** 2
-
-    value, _err = quad(integrand, 0.0, t, epsabs=0.0, epsrel=1e-10,
-                       limit=2000)
-    return model.sample_rate / model.noise_sd ** 2 * value
+    a = 2.0 * model.decay
+    b = 4.0 * math.pi * model.frequency
+    if a > 0:
+        value = (-math.expm1(-a * t) / (2.0 * a)
+                 + (a + math.exp(-a * t)
+                    * (b * math.sin(b * t) - a * math.cos(b * t)))
+                 / (2.0 * (a * a + b * b)))
+    elif b != 0:
+        value = t / 2.0 + math.sin(b * t) / (2.0 * b)
+    else:
+        value = t
+    return (model.sample_rate / model.noise_sd ** 2
+            * model.amplitude ** 2 * value)
 
 
-def _range_ncp(model: OnsetModel, lo: float, hi: float,
-               cache: dict) -> float:
+def _range_ncp(model: OnsetModel, lo: float, hi: float) -> float:
     """Noncentrality of the squared-sample sum over sample offsets
     [lo, hi) relative to the onset."""
-    def integral(d):
-        d = max(d, 0.0)
-        if d not in cache:
-            cache[d] = noncentrality_integral(model, d)
-        return cache[d]
-
-    return max(integral(hi) - integral(lo), 0.0)
+    return max(noncentrality_integral(model, max(hi, 0.0))
+               - noncentrality_integral(model, max(lo, 0.0)), 0.0)
 
 
 def energy_tail_probability(model: OnsetModel, threshold: float,
@@ -194,7 +190,7 @@ def energy_tail_probability(model: OnsetModel, threshold: float,
     onset or its decay tail.
     """
     sigma2 = model.noise_sd ** 2
-    ncp = _range_ncp(model, offset, offset + window_length - 1, {})
+    ncp = _range_ncp(model, offset, offset + window_length - 1)
     if ncp == 0.0:
         return float(chi2.sf(threshold / sigma2, window_length))
     return float(ncx2.sf(threshold / sigma2, window_length, ncp))
@@ -209,20 +205,21 @@ def false_positive_upper_bound(p_alpha: float) -> float:
     return 0.5 * p_alpha * (2.0 - p_alpha)
 
 
-def _neighbor_ranges(offset: int, gap: int, window_length: int):
-    """Exclusive sample ranges of the two compared energy windows.
+def _neighbor_range(offset: int, gap: int, window_length: int):
+    """Exclusive sample range of the emitted window in one neighbor
+    comparison.
 
     T[k] > T[k + gap] reduces, after cancelling the shared samples, to a
     comparison of two disjoint sums of squares of min(|gap|, w) samples
-    each; returns ((x_lo, x_hi), (y_lo, y_hi), df) in onset-relative
-    offsets, with the X range belonging to the window at ``offset``.
+    each; returns (lo, hi, df), the onset-relative range [lo, hi) of the
+    sum belonging to the window at ``offset`` and its sample count.
     """
     d, w = offset, window_length
     if abs(gap) >= w:
-        return (d, d + w), (d + gap, d + gap + w), w
+        return d, d + w, w
     if gap > 0:
-        return (d, d + gap), (d + w, d + w + gap), gap
-    return (d + w + gap, d + w), (d + gap, d), -gap
+        return d, d + gap, gap
+    return d + w + gap, d + w, -gap
 
 
 def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
@@ -247,14 +244,12 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
     if draws < 1:
         raise ValueError("draws must be positive")
     rng = np.random.default_rng(seed)
-    cache: dict = {}
 
     total = 0.0
     var_sum = 0.0
     for a in peak_config.neighbors:
-        (x_lo, x_hi), _y_range, df = _neighbor_ranges(
-            offset, a * hop, window_length)
-        ncp_x = _range_ncp(model, x_lo, x_hi, cache)
+        x_lo, x_hi, df = _neighbor_range(offset, a * hop, window_length)
+        ncp_x = _range_ncp(model, x_lo, x_hi)
         x = rng.noncentral_chisquare(df, ncp_x, draws) if ncp_x > 0 \
             else rng.chisquare(df, draws)
         y = rng.chisquare(df, draws)

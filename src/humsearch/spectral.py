@@ -17,11 +17,20 @@ import numpy as np
 from .audio import Signal
 
 __all__ = [
+    "WINDOW_LENGTH",
+    "CUTOFF_HZ",
     "Spectrogram",
     "dft",
     "stft",
     "band_limit_bins",
 ]
+
+# The detectors' analysis window in samples and their band (``detect``
+# re-exports both).
+WINDOW_LENGTH = 4096
+# Humming carries essentially no onset information above 1 kHz
+# (fundamental 80-200 Hz plus a few harmonics).
+CUTOFF_HZ = 1000.0
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -100,12 +109,12 @@ def frame_times(n_frames: int, window_length: int, hop: int,
 
 
 def stft(signal: Signal, window_length: int, hop: int,
-         cutoff_hz: float | None = None) -> Spectrogram:
+         cutoff_hz: float = CUTOFF_HZ) -> Spectrogram:
     """Band-limited short-time Fourier transform with a rectangular window.
 
     Each frame goes through a real FFT and only its K =
     :func:`band_limit_bins` bins at or below ``cutoff_hz`` are kept; the
-    default cutoff is the detectors' band, ``detect.CUTOFF_HZ``.
+    default cutoff is the detectors' band, ``CUTOFF_HZ``.
     Coefficients are the unnormalized window DFT (no 1/sqrt(w) factor), so
     with the cutoff at Nyquist, per frame
     ``|X_0|^2 + 2 sum_{0<k<w/2} |X_k|^2 + |X_{w/2}|^2 == w * sum_m x[m]^2``.
@@ -117,9 +126,6 @@ def stft(signal: Signal, window_length: int, hop: int,
         raise ValueError("hop must be >= 1")
     if len(signal) < 1:
         raise ValueError("empty signal")
-    if cutoff_hz is None:
-        # imported here because detect imports this module
-        from .detect import CUTOFF_HZ as cutoff_hz
     k = band_limit_bins(window_length, signal.sample_rate, cutoff_hz)
     frames = frame_signal(signal.samples, window_length, hop)
     # a copy, so that the bins above the band are freed at once

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -415,3 +416,18 @@ class TestPower:
         rows = out.read_text().splitlines()
         assert rows[0] == "offset_samples,probability,stderr"
         assert len(rows) == 3
+
+    def test_bound_without_decay_is_silent(self, tmp_path, capsys):
+        # a steady tone, windows far past the onset: every window carries
+        # signal, and no warning reaches stderr
+        out = tmp_path / "bound.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["power", "bound", "--decay", "0", "--draws", "200",
+                         "--offset-min", "400000", "--offset-max", "401024",
+                         "--offset-step", "1024", "--length", "480000",
+                         "--out", str(out)]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1:] == [
+            "400000,1.0,0.000e+00", "401024,1.0,0.000e+00"]

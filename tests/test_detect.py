@@ -8,7 +8,6 @@ from humsearch.detect import (
     energy_detector,
     run_detector,
     spectral_dissimilarity,
-    write_series_csv,
 )
 from humsearch.spectral import Spectrogram, band_limit_bins, stft
 
@@ -164,17 +163,3 @@ class TestRunDetector:
         sig = Signal(samples=np.ones(100), sample_rate=48000)
         with pytest.raises(ValueError):
             run_detector(sig, "zero_crossings")
-
-
-class TestCsvExport:
-    def test_columns_and_rows(self, tmp_path):
-        series = DetectionSeries(values=[1.5, 0.0], times=[0.0, 0.25],
-                                 hop=1, window_length=2,
-                                 detector_kind="energy")
-        path = tmp_path / "series.csv"
-        with open(path, "w") as fh:
-            write_series_csv(series, fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_seconds,value"
-        assert lines[1].startswith("0.000000,1.5")
-        assert len(lines) == 3

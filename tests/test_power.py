@@ -1,8 +1,10 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chi2
 
 from humsearch.peaks import PeakConfig, symmetric_neighbors
@@ -30,7 +32,7 @@ def small_model(**overrides):
 
 def closed_form_ncp(model, d):
     """Antiderivative of A^2 e^{-2 lam u} cos^2(2 pi f0 u), evaluated on
-    [0, d/S_f]; independent oracle for the quadrature."""
+    [0, d/S_f] in numpy from its textbook terms."""
     t = d / model.sample_rate
     a = 2.0 * model.decay
     b = 4.0 * np.pi * model.frequency
@@ -43,6 +45,21 @@ def closed_form_ncp(model, d):
                  ) / (2.0 * (a * a + b * b))
     return (model.sample_rate / model.noise_sd ** 2
             * model.amplitude ** 2 * (part1 + part2))
+
+
+def quad_ncp(model, d):
+    """The same integral by adaptive quadrature, an oracle that shares no
+    formula with the library.  Only usable where quad converges: with
+    decay, over offsets of up to about a second."""
+    def integrand(u):
+        return (model.amplitude ** 2 * math.exp(-2.0 * model.decay * u)
+                * math.cos(2.0 * math.pi * model.frequency * u) ** 2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, _err = quad(integrand, 0.0, d / model.sample_rate,
+                           epsabs=0.0, epsrel=1e-10, limit=2000)
+    return model.sample_rate / model.noise_sd ** 2 * value
 
 
 class TestOnsetModel:
@@ -107,10 +124,19 @@ class TestNoncentralityIntegral:
         assert noncentrality_integral(small_model(), 0) == 0.0
 
     def test_matches_closed_form(self):
-        model = small_model()
-        for d in (1, 10, 64, 500, 5000):
-            assert noncentrality_integral(model, d) == pytest.approx(
-                closed_form_ncp(model, d), rel=1e-6)
+        # decay 0 is a steady tone: no envelope bounds the integral
+        for decay in (0.0, 10.0):
+            model = small_model(decay=decay)
+            for d in (1, 10, 64, 500, 5000, 10 ** 6, 10 ** 7):
+                assert noncentrality_integral(model, d) == pytest.approx(
+                    closed_form_ncp(model, d), rel=1e-12)
+
+    def test_matches_quadrature(self):
+        for model in (small_model(), OnsetModel.from_ssnr(),
+                      OnsetModel.from_ssnr(decay=5.0, frequency=100.0)):
+            for d in (1, 10, 64, 500, 4096, 24_000, 48_000):
+                assert noncentrality_integral(model, d) == pytest.approx(
+                    quad_ncp(model, d), rel=1e-9)
 
     def test_large_offset_converges(self):
         model = small_model()
