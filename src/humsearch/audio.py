@@ -58,11 +58,6 @@ class Signal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        """Length of the recording in seconds."""
-        return len(self.samples) / self.sample_rate
-
 
 # WAVE format tags we accept.
 _WAVE_FORMAT_PCM = 0x0001

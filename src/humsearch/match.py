@@ -9,7 +9,8 @@ pairs times a penalty of L^2/(m*n) for unmatched onsets on either side.
 The reference is always the side that is mapped; the anchors sit on the
 longer side, so a short query pins its ends to two reference onsets.
 
-All anchor cells of a song are scored in one batched NumPy pass; the
+The feasible anchor cells of a song are listed once, flat and row-major,
+and scored in one batched NumPy pass over slices of that list; the
 batched scores only filter, and the cells within ``_TIE_TOL`` of their
 maximum are rescored exactly, one at a time, by ``subset_match`` and
 ``pearson``, which stay the single definition of the score.
@@ -131,8 +132,8 @@ def _cell_score(q: np.ndarray, scaled_ref: np.ndarray,
     return rho * correction, result
 
 
-# Cells per batched chunk, in whole rows of anchors i; bounds the working
-# set to about _CHUNK_CELLS * len(reference) floats per array.
+# Cells per batched chunk; bounds the working set to about
+# _CHUNK_CELLS * len(reference) floats per array.
 _CHUNK_CELLS = 1024
 # Batched and exact scores agree far closer than this, so every cell that
 # can hold the exact maximum survives the filter.
@@ -197,27 +198,6 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
     return np.where(valid, scores, np.nan)
 
 
-def _candidate_cells(q: np.ndarray, r: np.ndarray):
-    """Anchors (i, j), in row-major order, whose batched score is within
-    ``_TIE_TOL`` of the maximum or is not finite."""
-    n, m = max(len(q), len(r)), min(len(q), len(r))
-    rows = max(1, _CHUNK_CELLS // (n - m + 1))
-    top = -np.inf
-    kept = []
-    for i0 in range(0, n - m + 1, rows):
-        i_rows = np.arange(i0, min(i0 + rows, n - m + 1))
-        ii, jj = np.nonzero(np.arange(n) - i_rows[:, None] >= m - 1)
-        ii += i0
-        scores = _batch_scores(q, r, ii, jj)
-        top = max(top, np.max(scores, initial=-np.inf,
-                              where=np.isfinite(scores)))
-        near = ~(scores < top - _TIE_TOL)
-        kept.append((scores[near], ii[near], jj[near]))
-    scores, ii, jj = (np.concatenate(a) for a in zip(*kept))
-    near = ~(scores < top - _TIE_TOL)
-    return zip(ii[near].tolist(), jj[near].tolist())
-
-
 def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
     """Anchor-pair search over the cells of ``_anchor_map``.
 
@@ -227,13 +207,23 @@ def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
     Cells whose score is not finite, or whose mapped reference overflows
     or collapses, never win; a song with no other cell is rejected.
     """
+    n, m = max(len(q), len(r)), min(len(q), len(r))
+    # cells j >= i + m - 1 in row-major order, as np.triu_indices(n, m - 1)
+    # lists them but from an (n - m + 1) x n mask, not n x n
+    ii, jj = np.nonzero(np.arange(n) >= np.arange(m - 1, n)[:, None])
     best = None
     # overflow on huge onset times shows up as a non-finite score instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a single cell (equal lengths) is its own maximum: nothing to filter
-        cells = ([(0, len(q) - 1)] if len(q) == len(r)
-                 else _candidate_cells(q, r))
-        for i, j in cells:
+        if len(ii) > 1:
+            scores = np.empty(len(ii))
+            for c in range(0, len(ii), _CHUNK_CELLS):
+                chunk = slice(c, c + _CHUNK_CELLS)
+                scores[chunk] = _batch_scores(q, r, ii[chunk], jj[chunk])
+            top = np.max(scores, initial=-np.inf, where=np.isfinite(scores))
+            near = ~(scores < top - _TIE_TOL)  # keeps the non-finite cells
+            ii, jj = ii[near], jj[near]
+        for i, j in zip(ii.tolist(), jj.tolist()):
             alpha, beta = _anchor_map(q, r, i, j)
             try:
                 score, result = _cell_score(q, alpha + beta * r, query_unit)

@@ -98,14 +98,15 @@ class OnsetSequence:
 
 def threshold_value(series: DetectionSeries, rule: ThresholdRule,
                     scale: float = 1.0) -> float:
-    """Adaptive threshold: scaled mean, or the interpolated 3rd quartile."""
+    """Adaptive threshold: ``scale`` times the mean or the interpolated
+    3rd quartile."""
     values = series.values
     if len(values) == 0:
         raise ValueError("empty series")
     if rule == "mean_scaled":
         return scale * float(np.mean(values))
     if rule == "third_quartile":
-        return float(np.quantile(values, 0.75))
+        return scale * float(np.quantile(values, 0.75))
     raise ValueError(f"unknown threshold rule: {rule}")
 
 
@@ -131,9 +132,7 @@ def detect_peaks(series: DetectionSeries, config: PeakConfig) -> OnsetSequence:
         if values[k] > thr and _beats_neighbors(values, k, config.neighbors):
             onsets.append(float(times[k]))
             resume = np.searchsorted(times, times[k] + config.min_gap, "right")
-            if resume <= k:  # guard against pathological time grids
-                resume = k + 1
-            k = int(resume)
+            k = int(resume)  # > k: min_gap > 0 and the times ascend
         else:
             k += 1
     return OnsetSequence(times=np.asarray(onsets), unit="seconds")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, ncx2
+from scipy.stats import ncx2
 
 from .audio import Signal
 from .detect import (CUTOFF_HZ, DETECTORS, WINDOW_LENGTH, DetectorKind,
@@ -185,15 +185,12 @@ def energy_tail_probability(model: OnsetModel, threshold: float,
     """P(T > threshold) for the energy statistic of the window starting
     ``offset`` samples after the onset.
 
-    T / sigma^2 is central chi-squared (window all noise), or noncentral
-    with the accumulated-signal noncentrality when the window overlaps the
-    onset or its decay tail.
+    T / sigma^2 is chi-squared with ``window_length`` degrees of freedom
+    and the noncentrality its samples [offset, offset + window_length)
+    accumulate: central for a window of noise alone.
     """
-    sigma2 = model.noise_sd ** 2
-    ncp = _range_ncp(model, offset, offset + window_length - 1)
-    if ncp == 0.0:
-        return float(chi2.sf(threshold / sigma2, window_length))
-    return float(ncx2.sf(threshold / sigma2, window_length, ncp))
+    ncp = _range_ncp(model, offset, offset + window_length)
+    return float(ncx2.sf(threshold / model.noise_sd ** 2, window_length, ncp))
 
 
 def false_positive_upper_bound(p_alpha: float) -> float:
@@ -250,8 +247,7 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
     for a in peak_config.neighbors:
         x_lo, x_hi, df = _neighbor_range(offset, a * hop, window_length)
         ncp_x = _range_ncp(model, x_lo, x_hi)
-        x = rng.noncentral_chisquare(df, ncp_x, draws) if ncp_x > 0 \
-            else rng.chisquare(df, draws)
+        x = rng.noncentral_chisquare(df, ncp_x, draws)
         y = rng.chisquare(df, draws)
         p = float(np.mean(x > y))
         total += p

@@ -25,10 +25,6 @@ class TestSignal:
         with pytest.raises(ValueError):
             Signal(samples=np.array([0.0, np.nan]), sample_rate=1)
 
-    def test_duration(self):
-        s = Signal(samples=np.zeros(48000), sample_rate=48000)
-        assert s.duration == 1.0
-
 
 class TestLoadWav:
     def test_full_scale_16bit(self, tmp_path):

@@ -103,6 +103,11 @@ class TestThresholdValue:
         oracle = np.percentile([0, 1, 2, 3], 75)
         assert oracle == pytest.approx(2.25)
 
+    def test_third_quartile_scale_applied(self):
+        series = series_of([0, 1, 2, 3])
+        assert threshold_value(series, "third_quartile", 2.0) == (
+            2.0 * threshold_value(series, "third_quartile"))
+
     def test_singleton(self):
         assert threshold_value(series_of([5]), "mean_scaled") == 5.0
         assert threshold_value(series_of([5]), "third_quartile") == 5.0

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.stats import chi2
+from scipy.stats import chi2, ncx2
 
 from humsearch.peaks import PeakConfig, symmetric_neighbors
 from humsearch.power import (
@@ -170,6 +170,21 @@ class TestEnergyTailProbability:
         model = OnsetModel.from_ssnr()
         sigma2 = model.noise_sd ** 2
         assert energy_tail_probability(model, 5000.0 * sigma2, 0) > 0.999
+
+    @pytest.mark.parametrize("offset, ncp", [(-4095, 5000.0),
+                                             (0, 20_480_000.0)])
+    def test_noncentrality_spans_the_whole_window(self, offset, ncp):
+        # a constant mean makes the noncentrality a count of signal samples;
+        # the threshold sits at the statistic's mean, where the tail
+        # probability is far from 0 and 1
+        model = OnsetModel.from_ssnr(decay=0.0, frequency=0.0)
+        sigma2 = model.noise_sd ** 2
+        start = model.onset_index + offset
+        exact = np.sum(model.mean_sequence()[start:start + 4096] ** 2) / sigma2
+        assert exact == pytest.approx(ncp, rel=1e-12)
+        threshold = (4096 + exact) * sigma2
+        assert energy_tail_probability(model, threshold, offset) == (
+            pytest.approx(ncx2.sf(4096 + exact, 4096, exact), rel=1e-9))
 
     def test_monotone_decreasing_in_threshold(self):
         # weak-signal configuration keeps the tails away from 0 and 1
