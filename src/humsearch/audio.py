@@ -145,14 +145,11 @@ def _decode_wav(data: bytes) -> Signal:
         raw = np.frombuffer(payload, dtype="<i2").astype(np.float64)
         samples = raw / 32768.0
     elif bits == 24:
-        as_bytes = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        raw = (
-            as_bytes[:, 0].astype(np.int32)
-            | (as_bytes[:, 1].astype(np.int32) << 8)
-            | (as_bytes[:, 2].astype(np.int32) << 16)
-        )
-        raw = np.where(raw >= 1 << 23, raw - (1 << 24), raw)
-        samples = raw.astype(np.float64) / float(1 << 23)
+        # each sample above a zero low byte is a little-endian int32 of
+        # 256 times its value, so the sign comes with the view
+        wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        samples = wide.view("<i4")[:, 0] / float(1 << 31)
     else:  # 32-bit float; a signalling NaN stays NaN, rejected by Signal
         with np.errstate(invalid="ignore"):
             samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)

@@ -92,10 +92,6 @@ class DetectionSeries:
 def energy_detector(signal: Signal, window_length: int = WINDOW_LENGTH,
                     hop: int = DETECTORS["energy"].hop) -> DetectionSeries:
     """Local energy per hopping window: ``T[n] = sum_i x[n*h + i]^2``."""
-    if window_length < 1 or hop < 1:
-        raise ValueError("window_length and hop must be >= 1")
-    if len(signal) < 1:
-        raise ValueError("empty signal")
     frames = frame_signal(signal.samples, window_length, hop)
     values = np.einsum("ij,ij->i", frames, frames)
     times = frame_times(len(frames), window_length, hop, signal.sample_rate)

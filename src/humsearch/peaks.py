@@ -1,17 +1,18 @@
 """Peak picking: turn a detection series into an onset sequence.
 
-Every index is visited in turn; an index is emitted as an onset when its
-statistic clears an adaptive threshold and strictly exceeds every
-configured neighbor.  Onsets closer than ``min_gap`` seconds to the
-previous emission are merged away by skipping ahead, since two sounds less
-than a tenth of a second apart are not heard as distinct.
+An index is a candidate when its statistic clears an adaptive threshold
+and strictly exceeds every configured neighbor; the candidates are found
+by whole-array comparisons.  They are then merged in time order: a
+candidate closer than ``min_gap`` seconds to the previous emission is
+dropped, since two sounds less than a tenth of a second apart are not
+heard as distinct.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -56,9 +57,9 @@ class PeakConfig:
             raise ValueError("neighbors must be non-empty and non-zero")
         if self.threshold_rule not in ("mean_scaled", "third_quartile"):
             raise ValueError(f"unknown threshold rule: {self.threshold_rule}")
-        if self.threshold_scale <= 0:
+        if not self.threshold_scale > 0:  # NaN too
             raise ValueError("threshold_scale must be positive")
-        if self.min_gap <= 0:
+        if not self.min_gap > 0:
             raise ValueError("min_gap must be positive")
         object.__setattr__(self, "neighbors", neighbors)
 
@@ -113,37 +114,26 @@ def threshold_value(series: DetectionSeries, rule: ThresholdRule,
 def detect_peaks(series: DetectionSeries, config: PeakConfig) -> OnsetSequence:
     """Pick onset times from a detection series.
 
-    Visits indices 0, 1, 2, ...; index k is emitted iff T[k] strictly
-    exceeds the threshold and T[k] > T[k + a] for every neighbor offset a
-    (out-of-range neighbors count as 0, so boundary peaks remain
-    detectable).  After an emission at time t, iteration resumes at the
-    first index whose time exceeds t + min_gap.
+    Index k is a candidate iff T[k] strictly exceeds the threshold and
+    T[k] > T[k + a] for every neighbor offset a (out-of-range neighbors
+    count as 0, so boundary peaks remain detectable).  Candidates are
+    taken in time order: candidate time t is emitted iff it exceeds the
+    last emitted time plus min_gap.
     """
     values = series.values
-    times = series.times
     n = len(values)
-    if n == 0:
-        raise ValueError("empty series")
-    thr = threshold_value(series, config.threshold_rule, config.threshold_scale)
+    candidate = values > threshold_value(series, config.threshold_rule,
+                                         config.threshold_scale)
+    reach = max(abs(a) for a in config.neighbors)
+    padded = np.zeros(n + 2 * reach)
+    padded[reach:reach + n] = values
+    for a in config.neighbors:
+        candidate &= values > padded[reach + a:reach + a + n]
 
     onsets: list[float] = []
-    k = 0
-    while k < n:
-        if values[k] > thr and _beats_neighbors(values, k, config.neighbors):
-            onsets.append(float(times[k]))
-            resume = np.searchsorted(times, times[k] + config.min_gap, "right")
-            k = int(resume)  # > k: min_gap > 0 and the times ascend
-        else:
-            k += 1
+    last = -np.inf
+    for t in series.times[candidate].tolist():
+        if t > last + config.min_gap:
+            onsets.append(t)
+            last = t
     return OnsetSequence(times=np.asarray(onsets), unit="seconds")
-
-
-def _beats_neighbors(values: np.ndarray, k: int,
-                     neighbors: Sequence[int]) -> bool:
-    n = len(values)
-    for a in neighbors:
-        j = k + a
-        other = values[j] if 0 <= j < n else 0.0
-        if not values[k] > other:
-            return False
-    return True

@@ -66,11 +66,13 @@ class OnsetModel:
     length: int
 
     def __post_init__(self):
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:  # NaN too
             raise ValueError("amplitude must be positive")
-        if self.decay < 0:
+        if not self.decay >= 0:
             raise ValueError("decay must be non-negative")
-        if self.noise_sd <= 0:
+        if not math.isfinite(self.frequency):
+            raise ValueError("frequency must be finite")
+        if not self.noise_sd > 0:
             raise ValueError("noise_sd must be positive")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
@@ -84,6 +86,10 @@ class OnsetModel:
                   sample_rate: int = 48000, onset_index: int = 24576,
                   length: int = 48000) -> "OnsetModel":
         """Build a model from a squared SNR (A/sigma)^2 and noise variance."""
+        for name, value in (("ssnr", ssnr),
+                            ("noise_variance", noise_variance)):
+            if not value > 0:  # NaN too
+                raise ValueError(f"{name} must be positive")
         sigma = math.sqrt(noise_variance)
         return cls(
             amplitude=math.sqrt(ssnr) * sigma,
@@ -303,13 +309,11 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
         series = run_detector(signal, detector_kind, window_length, hop,
                               cutoff_hz)
         onsets = detect_peaks(series, peak_config)
-        emitted.append(onsets.times)
+        # exact: every onset time is one of the series' frame times
+        emitted.append(np.searchsorted(series.times, onsets.times))
     # every trial has the same length, so the last series fixes the grid
     hop, n_frames = series.hop, len(series)
-    frames = np.rint((np.concatenate(emitted) * model.sample_rate
-                      - window_length / 2) / hop).astype(np.int64)
-    counts = np.bincount(frames[(frames >= 0) & (frames < n_frames)],
-                         minlength=n_frames)
+    counts = np.bincount(np.concatenate(emitted), minlength=n_frames)
 
     centers = np.arange(n_frames) * hop + window_length // 2
     probs = counts / trials

@@ -43,7 +43,7 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
         raise ValueError("query needs at least 2 onsets")
     if top_k < 1:
         raise ValueError("top_k must be positive")
-    if closeness < 0:
+    if not closeness >= 0:  # NaN too
         raise ValueError("closeness must be non-negative")
 
     scored = []

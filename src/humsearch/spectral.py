@@ -33,10 +33,6 @@ WINDOW_LENGTH = 4096
 CUTOFF_HZ = 1000.0
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Spectrogram:
     """Low-band complex short-time Fourier coefficients with window/hop
@@ -56,11 +52,12 @@ class Spectrogram:
     frame_times: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not _is_power_of_two(self.window_length) or self.window_length < 2:
+        w = self.window_length
+        if w < 2 or w & (w - 1):
             raise ValueError("window_length must be a power of two >= 2")
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
-        max_bins = self.window_length // 2 + 1
+        max_bins = w // 2 + 1
         if self.frames.ndim != 2 or not 1 <= self.frames.shape[1] <= max_bins:
             raise ValueError("frames must be (n_frames, K) with "
                              "1 <= K <= window_length // 2 + 1")
@@ -93,6 +90,10 @@ def frame_signal(samples: np.ndarray, window_length: int, hop: int) -> np.ndarra
     """Slice a signal into ``ceil(len/hop)`` frames of ``window_length``
     samples starting at multiples of ``hop``, zero-padding past the end
     (with ``hop > window_length`` the samples between frames are skipped)."""
+    if window_length < 1 or hop < 1:
+        raise ValueError("window_length and hop must be >= 1")
+    if len(samples) < 1:
+        raise ValueError("empty signal")
     n = frame_count(len(samples), hop)
     padded_len = max((n - 1) * hop + window_length, len(samples))
     padded = np.zeros(padded_len, dtype=np.float64)
@@ -120,12 +121,6 @@ def stft(signal: Signal, window_length: int, hop: int,
     ``|X_0|^2 + 2 sum_{0<k<w/2} |X_k|^2 + |X_{w/2}|^2 == w * sum_m x[m]^2``.
     The tail is zero-padded so that frame times cover the full recording.
     """
-    if not _is_power_of_two(window_length) or window_length < 2:
-        raise ValueError("window_length must be a power of two >= 2")
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
-    if len(signal) < 1:
-        raise ValueError("empty signal")
     k = band_limit_bins(window_length, signal.sample_rate, cutoff_hz)
     frames = frame_signal(signal.samples, window_length, hop)
     # a copy, so that the bins above the band are freed at once

@@ -55,6 +55,18 @@ class TestLoadWav:
         step = 2.0 ** (1 - bits)
         assert np.max(np.abs(loaded.samples - original)) <= step
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_24bit_extremes_bit_exact(self, channels):
+        # little-endian 3-byte words: most negative, most positive, +1 LSB,
+        # -1 LSB and zero; stereo repeats each word in both channels
+        words = [0x800000, 0x7FFFFF, 0x000001, 0xFFFFFF, 0]
+        values = [-(1 << 23), (1 << 23) - 1, 1, -1, 0]
+        payload = b"".join(w.to_bytes(3, "little") * channels
+                           for w in words)
+        signal = _decode_wav(riff(1, channels, 48000, 24, payload))
+        expected = np.array(values, dtype=np.float64) / 2.0 ** 23
+        assert np.array_equal(signal.samples, expected)
+
     def test_float32_clamped(self, tmp_path):
         path = tmp_path / "f32.wav"
         write_float_wav(path, np.array([0.25, 1.5, -2.0]))

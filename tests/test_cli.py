@@ -207,6 +207,14 @@ class TestDetect:
         path.write_bytes(b"nope")
         assert main(["detect", str(path)]) == 2
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--min-gap", "min_gap"), ("--threshold-scale", "threshold_scale")])
+    def test_nan_peak_parameter_is_data_error(self, flag, name, tmp_path,
+                                              capsys):
+        path = click_train_wav(tmp_path / "one.wav", [0.5], duration=1.5)
+        assert main(["detect", str(path), flag, "nan"]) == 2
+        assert name in capsys.readouterr().err
+
 
 class TestDb:
     def test_add_then_list(self, tmp_path, capsys):
@@ -284,6 +292,14 @@ class TestSearch:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[1] == "s02"
         assert float(lines[1].split()[2]) == pytest.approx(1.0)
+
+    def test_nan_closeness_is_data_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", self.PATTERNS)
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps(self.PATTERNS["s02"]))
+        assert main(["search", str(query), "--db", str(db),
+                     "--closeness", "nan"]) == 2
+        assert "closeness" in capsys.readouterr().err
 
     def test_json_result(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", self.PATTERNS)
@@ -392,6 +408,18 @@ class TestPower:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.read_text().splitlines()[0] == (
             "offset_samples,probability,stderr")
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    @pytest.mark.parametrize("flag, name", [
+        ("--ssnr", "ssnr"), ("--noise-var", "noise_variance"),
+        ("--decay", "decay"), ("--freq", "frequency")])
+    def test_nan_model_parameter_is_data_error(self, command, flag, name,
+                                               tmp_path, capsys):
+        # rejected while the model is built, before any curve point
+        out = tmp_path / "curve.csv"
+        assert main(["power", command, flag, "nan", "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_zero_trials_usage_error(self, capsys):
         assert main(["power", "simulate", "--trials", "0"]) == 1

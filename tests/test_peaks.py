@@ -46,6 +46,37 @@ def oracle_peaks(series, config):
     return out
 
 
+def loop_peaks(series, config):
+    """The straightforward per-index picking loop, detect_peaks' exact
+    oracle: visit 0, 1, 2, ...; after an emission at time t resume at the
+    first index whose time exceeds t + min_gap."""
+    values = series.values
+    times = series.times
+    n = len(values)
+    thr = threshold_value(series, config.threshold_rule,
+                          config.threshold_scale)
+    onsets = []
+    k = 0
+    while k < n:
+        if values[k] > thr and _beats_neighbors(values, k, config.neighbors):
+            onsets.append(float(times[k]))
+            resume = np.searchsorted(times, times[k] + config.min_gap, "right")
+            k = int(resume)
+        else:
+            k += 1
+    return np.asarray(onsets)
+
+
+def _beats_neighbors(values, k, neighbors):
+    n = len(values)
+    for a in neighbors:
+        j = k + a
+        other = values[j] if 0 <= j < n else 0.0
+        if not values[k] > other:
+            return False
+    return True
+
+
 class TestSymmetricNeighbors:
     def test_radius_two(self):
         assert symmetric_neighbors(2) == (-2, -1, 1, 2)
@@ -72,6 +103,12 @@ class TestPeakConfig:
     def test_bad_rule(self):
         with pytest.raises(ValueError):
             PeakConfig(threshold_rule="median")
+
+    @pytest.mark.parametrize("name", ["min_gap", "threshold_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PeakConfig(**{name: value})
 
 
 class TestOnsetSequence:
@@ -177,3 +214,25 @@ class TestDetectPeaks:
                          threshold_rule=rule)
         got = detect_peaks(series, cfg).times
         assert got.tolist() == pytest.approx(oracle_peaks(series, cfg))
+
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5]),
+                        min_size=1, max_size=80),
+        offsets=st.lists(st.integers(-90, 90).filter(bool), min_size=1,
+                         max_size=5, unique=True),
+        rule=st.sampled_from(["mean_scaled", "third_quartile"]),
+        scale=st.sampled_from([0.5, 1.0, 1.3]),
+        dt=st.sampled_from([0.01, 0.03, 0.07, 0.1, 0.25]),
+        min_gap=st.sampled_from([0.02, 0.1, 0.3]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_oracle_exactly(self, values, offsets, rule, scale,
+                                         dt, min_gap):
+        # few distinct values, so that neighbors tie; grid steps on both
+        # sides of min_gap, so that skipping interacts with later peaks;
+        # asymmetric offsets, some reaching past both ends of the series
+        series = series_of(values, dt=dt)
+        cfg = PeakConfig(neighbors=tuple(offsets), threshold_rule=rule,
+                         threshold_scale=scale, min_gap=min_gap)
+        assert np.array_equal(detect_peaks(series, cfg).times,
+                              loop_peaks(series, cfg))

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chi2, ncx2
 
-from humsearch.peaks import PeakConfig, symmetric_neighbors
+from humsearch.detect import DETECTORS, run_detector
+from humsearch.peaks import PeakConfig, detect_peaks, symmetric_neighbors
 from humsearch.power import (
     REFERENCE_NOISE_VARIANCE,
     REFERENCE_SSNR,
@@ -70,6 +71,20 @@ class TestOnsetModel:
             small_model(decay=-1.0)
         with pytest.raises(ValueError):
             small_model(onset_index=256)
+
+    @pytest.mark.parametrize("name, value", [
+        ("amplitude", math.nan), ("noise_sd", math.nan), ("decay", math.nan),
+        ("frequency", math.nan), ("frequency", math.inf),
+    ])
+    def test_nan_or_infinite_frequency_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            small_model(**{name: value})
+
+    @pytest.mark.parametrize("name", ["ssnr", "noise_variance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_from_ssnr_rejects_nonpositive_or_nan(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OnsetModel.from_ssnr(**{name: value})
 
     def test_from_ssnr_defaults(self):
         model = OnsetModel.from_ssnr()
@@ -277,6 +292,24 @@ class TestMonteCarloPower:
         near = np.abs(curve.offsets) <= 2400  # 0.05 s at 48 kHz
         assert curve.probabilities[near].sum() >= 0.85
         assert curve.probabilities[~near].sum() <= 0.15
+
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_counts_equal_a_recount(self, kind):
+        # the same spawned seeds, each trial's picks credited to the frames
+        # whose times they are; a faint onset, so that noise peaks spread
+        # the picks over many frames
+        model = OnsetModel.from_ssnr(ssnr=0.05, onset_index=8192,
+                                     length=16384)
+        cfg = PeakConfig(neighbors=symmetric_neighbors(1), min_gap=0.02)
+        trials = 6
+        curve = monte_carlo_power(model, kind, cfg, trials=trials, seed=11)
+        counts = 0
+        for child in np.random.SeedSequence(11).spawn(trials):
+            series = run_detector(synth_signal(model, child), kind)
+            counts = counts + np.isin(series.times,
+                                      detect_peaks(series, cfg).times)
+        assert counts.sum() > trials  # some trials emit more than once
+        assert np.array_equal(curve.probabilities * trials, counts)
 
     def test_zero_trials_rejected(self):
         cfg = PeakConfig(neighbors=symmetric_neighbors(2))

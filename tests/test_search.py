@@ -92,3 +92,8 @@ class TestRank:
     def test_short_query_rejected(self):
         with pytest.raises(ValueError):
             rank(build_db(), seconds([0.0]))
+
+    @pytest.mark.parametrize("closeness", [-0.01, float("nan")])
+    def test_negative_or_nan_closeness_rejected(self, closeness):
+        with pytest.raises(ValueError, match="closeness"):
+            rank(build_db(), seconds([0.0, 1.0]), closeness=closeness)
