@@ -10,15 +10,13 @@ The reference is always the side that is mapped; the anchors sit on the
 longer side, so a short query pins its ends to two reference onsets.
 
 The feasible anchor cells of a song are listed once, flat and row-major,
-and scored in one batched NumPy pass over slices of that list; the
-batched scores only filter, and the cells within ``_TIE_TOL`` of their
-maximum are rescored exactly, one at a time, by ``subset_match`` and
-``pearson``, which stay the single definition of the score.
+and scored in one batched NumPy pass over slices of that list, which is
+the single definition of a cell's score; ``subset_match`` then pairs the
+onsets of the winning cell alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "SimilarityResult",
     "subset_match",
     "correlative_match",
-    "pearson",
 ]
 
 
@@ -100,44 +97,9 @@ def subset_match(query: OnsetSequence, reference: OnsetSequence) -> MatchResult:
     )
 
 
-def pearson(a, b) -> float:
-    """Pearson product-moment correlation; 0 when either side has zero
-    variance."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    if len(a) < 2:
-        raise ValueError("need at least 2 points")
-    da = a - a.mean()
-    db = b - b.mean()
-    va = np.dot(da, da)
-    vb = np.dot(db, db)
-    if va == 0.0 or vb == 0.0:
-        return 0.0
-    return float(np.dot(da, db) / math.sqrt(va * vb))
-
-
-def _cell_score(q: np.ndarray, scaled_ref: np.ndarray,
-                query_unit: str) -> tuple[float, MatchResult]:
-    result = subset_match(
-        OnsetSequence(times=q, unit=query_unit),
-        OnsetSequence(times=scaled_ref, unit=query_unit),
-    )
-    L = result.n_matched
-    if L < 2:
-        return 0.0, result
-    correction = L * L / (len(q) * len(scaled_ref))
-    rho = pearson(result.matched_entries.times, result.detected_onsets.times)
-    return rho * correction, result
-
-
 # Cells per batched chunk; bounds the working set to about
 # _CHUNK_CELLS * len(reference) floats per array.
 _CHUNK_CELLS = 1024
-# Batched and exact scores agree far closer than this, so every cell that
-# can hold the exact maximum survives the filter.
-_TIE_TOL = 1e-9
 
 
 def _anchor_map(q: np.ndarray, r: np.ndarray, i, j):
@@ -160,8 +122,10 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
     """Scores of the anchor cells (ii, jj), computed together; NaN for a
     cell whose mapped reference is not a valid onset sequence.
 
-    The affine maps and the mutual-nearest matching are bit-for-bit those
-    of ``_cell_score``; only the Pearson sums round differently.
+    The affine maps are bit for bit those of ``_anchor_map`` at one cell,
+    and the pairs those of ``subset_match``.  Every sum runs along one
+    C-contiguous row (a cell's reference onsets, zero where unmatched), so
+    a cell's score does not depend on the cells that share its chunk.
     """
     n, m = len(q), len(r)
     alpha, beta = _anchor_map(q, r, ii, jj)
@@ -193,7 +157,7 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
     rho = np.divide((dx * ds).sum(axis=1), np.sqrt(vx * vs),
                     out=np.zeros(len(s)), where=(vx > 0) & (vs > 0))
     scores = np.where(L >= 2, rho * (L * L / (n * m)), 0.0)
-    # the onset-sequence check that _cell_score meets
+    # the check that OnsetSequence makes of the mapped reference
     valid = np.isfinite(s).all(axis=1) & (s[:, 1:] > s[:, :-1]).all(axis=1)
     return np.where(valid, scores, np.nan)
 
@@ -211,29 +175,20 @@ def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
     # cells j >= i + m - 1 in row-major order, as np.triu_indices(n, m - 1)
     # lists them but from an (n - m + 1) x n mask, not n x n
     ii, jj = np.nonzero(np.arange(n) >= np.arange(m - 1, n)[:, None])
-    best = None
+    scores = np.empty(len(ii))
     # overflow on huge onset times shows up as a non-finite score instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # a single cell (equal lengths) is its own maximum: nothing to filter
-        if len(ii) > 1:
-            scores = np.empty(len(ii))
-            for c in range(0, len(ii), _CHUNK_CELLS):
-                chunk = slice(c, c + _CHUNK_CELLS)
-                scores[chunk] = _batch_scores(q, r, ii[chunk], jj[chunk])
-            top = np.max(scores, initial=-np.inf, where=np.isfinite(scores))
-            near = ~(scores < top - _TIE_TOL)  # keeps the non-finite cells
-            ii, jj = ii[near], jj[near]
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            alpha, beta = _anchor_map(q, r, i, j)
-            try:
-                score, result = _cell_score(q, alpha + beta * r, query_unit)
-            except ValueError:  # the mapped reference overflows or collapses
-                continue
-            if math.isfinite(score) and (best is None or score > best[0]):
-                best = (score, alpha, beta, result)
-    if best is None:
-        raise ValueError("no anchor cell gives a finite score")
-    return best
+        for c in range(0, len(ii), _CHUNK_CELLS):
+            chunk = slice(c, c + _CHUNK_CELLS)
+            scores[chunk] = _batch_scores(q, r, ii[chunk], jj[chunk])
+        best = int(np.argmax(np.where(np.isfinite(scores), scores, -np.inf)))
+        if not np.isfinite(scores[best]):
+            raise ValueError("no anchor cell gives a finite score")
+        alpha, beta = _anchor_map(q, r, ii[best], jj[best])
+        result = subset_match(OnsetSequence(times=q, unit=query_unit),
+                              OnsetSequence(times=alpha + beta * r,
+                                            unit=query_unit))
+    return float(scores[best]), alpha, beta, result
 
 
 def correlative_match(query: OnsetSequence,

@@ -66,14 +66,14 @@ class OnsetModel:
     length: int
 
     def __post_init__(self):
-        if not self.amplitude > 0:  # NaN too
-            raise ValueError("amplitude must be positive")
-        if not self.decay >= 0:
-            raise ValueError("decay must be non-negative")
+        if not 0 < self.amplitude < math.inf:  # NaN too
+            raise ValueError("amplitude must be positive and finite")
+        if not 0 <= self.decay < math.inf:
+            raise ValueError("decay must be non-negative and finite")
         if not math.isfinite(self.frequency):
             raise ValueError("frequency must be finite")
-        if not self.noise_sd > 0:
-            raise ValueError("noise_sd must be positive")
+        if not 0 < self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be positive and finite")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if not 0 <= self.onset_index < self.length:
@@ -88,8 +88,8 @@ class OnsetModel:
         """Build a model from a squared SNR (A/sigma)^2 and noise variance."""
         for name, value in (("ssnr", ssnr),
                             ("noise_variance", noise_variance)):
-            if not value > 0:  # NaN too
-                raise ValueError(f"{name} must be positive")
+            if not 0 < value < math.inf:  # NaN too
+                raise ValueError(f"{name} must be positive and finite")
         sigma = math.sqrt(noise_variance)
         return cls(
             amplitude=math.sqrt(ssnr) * sigma,
@@ -244,8 +244,10 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
 
     ``threshold`` is in energy units (the statistic's own scale).
     """
-    if draws < 1:
-        raise ValueError("draws must be positive")
+    for name, value in (("window_length", window_length), ("hop", hop),
+                        ("draws", draws)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
     rng = np.random.default_rng(seed)
 
     total = 0.0

@@ -421,6 +421,35 @@ class TestPower:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--ssnr", "ssnr must be positive and finite"),
+        ("--noise-var", "noise_variance must be positive and finite"),
+        ("--decay", "decay must be non-negative and finite")])
+    def test_infinite_model_parameter_is_data_error(self, command, flag,
+                                                    message, capsys):
+        # rejected up front with its own name, and nothing overflows first
+        argv = ["power", command, flag, "inf"]
+        if command == "simulate":
+            argv += ["--trials", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag, name, value", [
+        ("--window", "window_length", "0"), ("--hop", "hop", "0"),
+        ("--hop", "hop", "-512")])
+    def test_bound_nonpositive_frame_is_data_error(self, flag, name, value,
+                                                  tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["power", "bound", flag, value, "--draws", "10",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {name} must be positive\n")
+        assert not out.exists()
+
     def test_simulate_zero_trials_usage_error(self, capsys):
         assert main(["power", "simulate", "--trials", "0"]) == 1
         assert capsys.readouterr().err == (

@@ -9,9 +9,7 @@ from humsearch import match
 from humsearch.match import (
     MatchResult,
     SimilarityResult,
-    _cell_score,
     correlative_match,
-    pearson,
     subset_match,
 )
 from humsearch.peaks import OnsetSequence
@@ -19,6 +17,29 @@ from humsearch.peaks import OnsetSequence
 
 def seq(times, unit="seconds"):
     return OnsetSequence(times=np.asarray(times, dtype=np.float64), unit=unit)
+
+
+def _cell_score(q, scaled_ref, query_unit):
+    """Score of one anchor cell, the loop oracle's: the pairs of
+    ``subset_match`` laid out along the mapped reference, zero at its
+    unmatched onsets, and their Pearson correlation times L^2/(m*n)."""
+    result = subset_match(seq(q, query_unit), seq(scaled_ref, query_unit))
+    L = result.n_matched
+    if L < 2:
+        return 0.0, result
+    at = np.searchsorted(scaled_ref, result.detected_onsets.times)
+
+    def centred(v):
+        row = np.zeros(len(scaled_ref))
+        row[at] = v
+        row[at] = v - row.sum() / L
+        return row
+
+    dx = centred(result.matched_entries.times)
+    ds = centred(result.detected_onsets.times)
+    vx, vs = (dx * dx).sum(), (ds * ds).sum()
+    rho = (dx * ds).sum() / np.sqrt(vx * vs) if vx > 0 and vs > 0 else 0.0
+    return rho * (L * L / (len(q) * len(scaled_ref))), result
 
 
 def brute_force_subset_match(q, r):
@@ -206,18 +227,47 @@ class TestBatchedAnchorSearch:
             assert_matches_loop(query, reference)
 
     @settings(max_examples=150, deadline=None)
-    @given(pair=tie_heavy_pair())
-    def test_batch_scores_agree_with_cell_scores(self, pair):
-        # the filter's premise: every batched score is the cell's exact
-        # score up to rounding far below _TIE_TOL
+    @given(pair=tie_heavy_pair(), chunk=st.sampled_from([1, 2, 7, 1024]))
+    def test_batch_scores_agree_with_cell_scores(self, pair, chunk):
+        # the batched score is the score: every cell's equals the oracle's
+        # bit for bit, whichever cells share its chunk
         q, r = pair[0].times, pair[1].times
         n, m = max(len(q), len(r)), min(len(q), len(r))
         ii, jj = np.triu_indices(n, m - 1)
-        batch = match._batch_scores(q, r, ii, jj)
-        for c, (i, j) in enumerate(zip(ii, jj)):
-            alpha, beta = match._anchor_map(q, r, i, j)
-            exact, _ = _cell_score(q, alpha + beta * r, "seconds")
-            assert batch[c] == pytest.approx(exact, rel=0, abs=1e-12)
+        batch = np.concatenate([
+            match._batch_scores(q, r, ii[c:c + chunk], jj[c:c + chunk])
+            for c in range(0, len(ii), chunk)])
+        exact = [cell[0] for cell in loop_cells(q, r, "seconds")]
+        assert np.array_equal(batch, exact, equal_nan=True)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 1024])
+    @pytest.mark.parametrize("length", [1, 5, 8, 77, 128, 129, 1000])
+    def test_row_sums_equal_each_rows_own_sum(self, rows, length, rng):
+        # the kernel's premise: summing C-contiguous rows along axis 1
+        # rounds each row as its own 1-D sum does (numpy's pairwise sum
+        # unrolls by 8 and splits blocks above 128)
+        a = rng.normal(size=(rows, length)) * 10.0 ** rng.integers(
+            -8, 9, size=(rows, length))
+        a[rng.random(a.shape) < 0.3] = 0.0  # unmatched onsets
+        got = a.sum(axis=1)
+        assert all(got[k] == a[k].sum() for k in range(rows))
+
+    def test_all_cells_tie(self, rng):
+        # a 2-onset song lands on any two query onsets, so every cell
+        # scores 4/(2 * n), exactly on a quarter-second grid and up to
+        # rounding off it; the first of the top cells must win
+        song = seq([0.0, 1.0], unit="beats")
+
+        def grid_query(n):
+            return seq(0.25 * np.sort(rng.choice(4 * n, n, replace=False)))
+
+        assert_matches_loop(seq(np.sort(rng.uniform(0, 100, 60))), song)
+        assert_matches_loop(grid_query(60), song)
+        query = grid_query(300)  # 45 150 cells: too many for the loop
+        first = next(loop_cells(query.times, song.times, "seconds"))
+        got = correlative_match(query, song)
+        assert_same_similarity(got, SimilarityResult(*first))
+        assert got.score == 4 / (2 * 300)
 
     @pytest.mark.parametrize("deficit", [False, True])
     def test_periodic_ties_across_chunks(self, deficit):
@@ -267,32 +317,6 @@ class TestBatchedAnchorSearch:
         # every mapped reference overflows or collapses, or its score does
         with pytest.raises(ValueError, match="no anchor cell gives a finite"):
             correlative_match(seq(query), seq(reference, unit="beats"))
-
-
-class TestPearson:
-    def test_identity(self):
-        assert pearson([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_negation(self):
-        assert pearson([1, 2, 3], [-1, -2, -3]) == -1.0
-
-    def test_known_value(self):
-        assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(0.981, abs=1e-3)
-
-    def test_zero_variance(self):
-        assert pearson([1, 1, 1], [1, 2, 3]) == 0.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            pearson([1], [1])
-        with pytest.raises(ValueError):
-            pearson([1, 2], [1, 2, 3])
-
-    def test_agrees_with_numpy(self, rng):
-        a = rng.normal(size=50)
-        b = rng.normal(size=50)
-        assert pearson(a, b) == pytest.approx(np.corrcoef(a, b)[0, 1],
-                                              rel=1e-12)
 
 
 class TestSubsetMatch:

@@ -75,13 +75,14 @@ class TestOnsetModel:
     @pytest.mark.parametrize("name, value", [
         ("amplitude", math.nan), ("noise_sd", math.nan), ("decay", math.nan),
         ("frequency", math.nan), ("frequency", math.inf),
+        ("amplitude", math.inf), ("noise_sd", math.inf), ("decay", math.inf),
     ])
     def test_nan_or_infinite_frequency_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             small_model(**{name: value})
 
     @pytest.mark.parametrize("name", ["ssnr", "noise_variance"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_from_ssnr_rejects_nonpositive_or_nan(self, name, value):
         with pytest.raises(ValueError, match=name):
             OnsetModel.from_ssnr(**{name: value})
@@ -253,6 +254,16 @@ class TestEnergyPowerLowerBound:
         b = energy_power_lower_bound(model, cfg, 5000.0 * sigma2, 128,
                                      draws=2000, seed=3)
         assert a == b
+
+
+    @pytest.mark.parametrize("name, value", [
+        ("window_length", 0), ("window_length", -4096), ("hop", 0),
+        ("hop", -512), ("draws", 0)])
+    def test_nonpositive_frame_or_draws_rejected(self, name, value):
+        cfg = PeakConfig(neighbors=symmetric_neighbors(2))
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            energy_power_lower_bound(OnsetModel.from_ssnr(), cfg, 1.0, 0,
+                                     **{name: value})
 
 
 class TestMonteCarloPower:
