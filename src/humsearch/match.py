@@ -9,10 +9,10 @@ pairs times a penalty of L^2/(m*n) for unmatched onsets on either side.
 The reference is always the side that is mapped; the anchors sit on the
 longer side, so a short query pins its ends to two reference onsets.
 
-The feasible anchor cells of a song are listed once, flat and row-major,
-and scored in one batched NumPy pass over slices of that list, which is
-the single definition of a cell's score; ``subset_match`` then pairs the
-onsets of the winning cell alone.
+One pairing rule serves both: ``subset_match`` runs it on one row, and
+the anchor search on every feasible cell of a song, listed once, flat and
+row-major, and scored in one batched NumPy pass over slices of that list,
+the single definition of a cell's score and matched count.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class MatchResult:
     false_positives: int
     false_negatives: int
 
-    @property
-    def n_matched(self) -> int:
-        return len(self.matched_entries)
-
 
 @dataclass(frozen=True)
 class SimilarityResult:
@@ -57,18 +53,26 @@ class SimilarityResult:
     score: float
     alpha: float  # time offset, seconds
     beta: float   # scale, seconds per beat
-    match: MatchResult
+    matched: int  # L pairs: m - L false positives, n - L false negatives
 
 
-def _nearest_indices(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the nearest target for each point; ties break toward the
-    earlier (smaller) target."""
-    pos = np.searchsorted(targets, points)
-    left = np.maximum(pos - 1, 0)
-    right = np.minimum(pos, len(targets) - 1)
-    # prefer left on exact distance ties
-    take_right = np.abs(targets[right] - points) < np.abs(points - targets[left])
-    return np.where(take_right, right, left)
+def _mutual_nearest(q: np.ndarray, s: np.ndarray):
+    """The nearest onset x[c, k] of sorted q to each s[c, k] (rows of sorted
+    onsets), and whether s[c, k] is in turn the nearest in its row to
+    x[c, k]; distance ties break toward the earlier onset on both sides."""
+    pos = np.searchsorted(q, s)
+    left = q[np.maximum(pos - 1, 0)]
+    right = q[np.minimum(pos, len(q) - 1)]
+    x = np.where(np.abs(right - s) < np.abs(s - left), right, left)
+    # s being sorted, x's nearest in the row is s[c, k] or a neighbour
+    # s[c, k -+ 1], on the side of s[c, k] that x lies on
+    d = np.abs(s - x)
+    earlier = np.ones(s.shape, dtype=bool)
+    earlier[:, 1:] = d[:, 1:] < np.abs(s[:, :-1] - x[:, 1:])
+    later = np.ones(s.shape, dtype=bool)
+    later[:, :-1] = (x[:, :-1] <= s[:, 1:]) & (
+        d[:, :-1] <= np.abs(s[:, 1:] - x[:, :-1]))
+    return x, np.where(x <= s, earlier, later)
 
 
 def subset_match(query: OnsetSequence, reference: OnsetSequence) -> MatchResult:
@@ -78,27 +82,21 @@ def subset_match(query: OnsetSequence, reference: OnsetSequence) -> MatchResult:
     as its own nearest query; the symmetric rule classifies reference
     onsets as detected or missed.
     """
-    q = query.times
-    r = reference.times
+    q, r = query.times, reference.times
     if len(q) == 0 or len(r) == 0:
         raise ValueError("query and reference must be non-empty")
 
-    nearest_ref = _nearest_indices(q, r)
-    nearest_query = _nearest_indices(r, q)
-    mutual = nearest_query[nearest_ref] == np.arange(len(q))
-
-    matched = q[mutual]
-    detected = r[nearest_ref[mutual]]
+    x, mutual = _mutual_nearest(q, r[None, :])
+    matched = x[mutual]
     return MatchResult(
         matched_entries=OnsetSequence(times=matched, unit=query.unit),
-        detected_onsets=OnsetSequence(times=detected, unit=reference.unit),
+        detected_onsets=OnsetSequence(times=r[mutual[0]], unit=reference.unit),
         false_positives=len(q) - len(matched),
         false_negatives=len(r) - len(matched),
     )
 
 
-# Cells per batched chunk; bounds the working set to about
-# _CHUNK_CELLS * len(reference) floats per array.
+# Cells per batched chunk: about _CHUNK_CELLS * len(r) floats per array.
 _CHUNK_CELLS = 1024
 
 
@@ -118,31 +116,20 @@ def _anchor_map(q: np.ndarray, r: np.ndarray, i, j):
 
 
 def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
-                  jj: np.ndarray) -> np.ndarray:
-    """Scores of the anchor cells (ii, jj), computed together; NaN for a
-    cell whose mapped reference is not a valid onset sequence.
+                  jj: np.ndarray):
+    """Scores of the anchor cells (ii, jj), computed together, and their
+    matched counts L; the score is NaN for a cell whose mapped reference
+    is not a valid onset sequence.
 
-    The affine maps are bit for bit those of ``_anchor_map`` at one cell,
-    and the pairs those of ``subset_match``.  Every sum runs along one
-    C-contiguous row (a cell's reference onsets, zero where unmatched), so
-    a cell's score does not depend on the cells that share its chunk.
+    The affine maps are bit for bit those of ``_anchor_map`` at one cell.
+    Every sum runs along one C-contiguous row (a cell's reference onsets,
+    zero where unmatched), so a cell's score does not depend on the cells
+    that share its chunk.
     """
     n, m = len(q), len(r)
     alpha, beta = _anchor_map(q, r, ii, jj)
     s = alpha[:, None] + beta[:, None] * r
-
-    # the nearest query onset x[c, k] of each mapped onset s[c, k]; the pair
-    # is mutual iff s[c, k] is in turn the nearest mapped onset of x[c, k],
-    # which, s being sorted, needs only its neighbours s[c, k -+ 1]: the
-    # earlier one wins distance ties, as in _nearest_indices
-    x = q[_nearest_indices(s, q)]
-    d = np.abs(s - x)
-    earlier = np.ones(s.shape, dtype=bool)
-    earlier[:, 1:] = d[:, 1:] < np.abs(s[:, :-1] - x[:, 1:])
-    later = np.ones(s.shape, dtype=bool)
-    later[:, :-1] = (x[:, :-1] <= s[:, 1:]) & (
-        d[:, :-1] <= np.abs(s[:, 1:] - x[:, :-1]))
-    mutual = np.where(x <= s, earlier, later)
+    x, mutual = _mutual_nearest(q, s)
 
     L = mutual.sum(axis=1)
     count = np.maximum(L, 1)[:, None]
@@ -152,18 +139,18 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
         return np.where(mutual, v - mean, 0.0)
 
     dx, ds = centred(x), centred(s)
-    vx = (dx * dx).sum(axis=1)
-    vs = (ds * ds).sum(axis=1)
+    vx, vs = (dx * dx).sum(axis=1), (ds * ds).sum(axis=1)
     rho = np.divide((dx * ds).sum(axis=1), np.sqrt(vx * vs),
                     out=np.zeros(len(s)), where=(vx > 0) & (vs > 0))
     scores = np.where(L >= 2, rho * (L * L / (n * m)), 0.0)
     # the check that OnsetSequence makes of the mapped reference
     valid = np.isfinite(s).all(axis=1) & (s[:, 1:] > s[:, :-1]).all(axis=1)
-    return np.where(valid, scores, np.nan)
+    return np.where(valid, scores, np.nan), L
 
 
-def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
-    """Anchor-pair search over the cells of ``_anchor_map``.
+def _correlative_core(q: np.ndarray, r: np.ndarray):
+    """Anchor-pair search over the cells of ``_anchor_map``; returns the
+    winning cell's score, alpha, beta and matched count.
 
     With n, m the longer and shorter length, the anchors (i, j) index the
     longer side; cells with j - i < m - 1 are geometrically infeasible and
@@ -176,19 +163,18 @@ def _correlative_core(q: np.ndarray, r: np.ndarray, query_unit: str):
     # lists them but from an (n - m + 1) x n mask, not n x n
     ii, jj = np.nonzero(np.arange(n) >= np.arange(m - 1, n)[:, None])
     scores = np.empty(len(ii))
+    matched = np.empty(len(ii), dtype=np.int64)
     # overflow on huge onset times shows up as a non-finite score instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c in range(0, len(ii), _CHUNK_CELLS):
             chunk = slice(c, c + _CHUNK_CELLS)
-            scores[chunk] = _batch_scores(q, r, ii[chunk], jj[chunk])
+            scores[chunk], matched[chunk] = _batch_scores(
+                q, r, ii[chunk], jj[chunk])
         best = int(np.argmax(np.where(np.isfinite(scores), scores, -np.inf)))
         if not np.isfinite(scores[best]):
             raise ValueError("no anchor cell gives a finite score")
         alpha, beta = _anchor_map(q, r, ii[best], jj[best])
-        result = subset_match(OnsetSequence(times=q, unit=query_unit),
-                              OnsetSequence(times=alpha + beta * r,
-                                            unit=query_unit))
-    return float(scores[best]), alpha, beta, result
+    return float(scores[best]), alpha, beta, int(matched[best])
 
 
 def correlative_match(query: OnsetSequence,
@@ -197,11 +183,8 @@ def correlative_match(query: OnsetSequence,
     onsets (beats), scored by penalized Pearson correlation.
 
     The reference is always mapped onto the query, s = alpha + beta * r,
-    so alpha and beta are query-side and the matched entries are query
-    onsets, whichever side is longer.
+    so alpha and beta are query-side, whichever side is longer.
     """
     if len(query) < 2 or len(reference) < 2:
         raise ValueError("need at least 2 onsets on each side")
-    score, alpha, beta, result = _correlative_core(
-        query.times, reference.times, query.unit)
-    return SimilarityResult(score=score, alpha=alpha, beta=beta, match=result)
+    return SimilarityResult(*_correlative_core(query.times, reference.times))

@@ -70,14 +70,16 @@ class OnsetModel:
             raise ValueError("amplitude must be positive and finite")
         if not 0 <= self.decay < math.inf:
             raise ValueError("decay must be non-negative and finite")
-        if not math.isfinite(self.frequency):
-            raise ValueError("frequency must be finite")
         if not 0 < self.noise_sd < math.inf:
             raise ValueError("noise_sd must be positive and finite")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if not 0 <= self.onset_index < self.length:
             raise ValueError("onset_index must lie inside the signal")
+        # the mean's phase 2 pi f t at the last sample, or 2 pi f (1 / S_f)
+        last = max(self.length - 1 - self.onset_index, 1) / self.sample_rate
+        if not math.isfinite(2 * math.pi * self.frequency * last):  # NaN too
+            raise ValueError("frequency must keep the phase 2 pi f t finite")
 
     @classmethod
     def from_ssnr(cls, ssnr: float = REFERENCE_SSNR,
@@ -165,17 +167,27 @@ def noncentrality_integral(model: OnsetModel, offset_samples: float) -> float:
     t = offset_samples / model.sample_rate
     a = 2.0 * model.decay
     b = 4.0 * math.pi * model.frequency
-    if a > 0:
+    snr_rate = model.sample_rate / model.noise_sd ** 2
+    # checked before they raise: sin(inf), and A ** 2 exactly when A * A = inf
+    for name, term in (("decay", a), ("frequency", b * t),
+                       ("amplitude", model.amplitude * model.amplitude),
+                       ("noise_sd", snr_rate)):
+        if not math.isfinite(term):
+            raise ValueError(f"{name} is out of range for the energy bound")
+    if a * a + b * b == 0:  # a, b zero or below 1e-162: a constant mean
+        value = t
+    elif a > 0:
         value = (-math.expm1(-a * t) / (2.0 * a)
                  + (a + math.exp(-a * t)
                     * (b * math.sin(b * t) - a * math.cos(b * t)))
                  / (2.0 * (a * a + b * b)))
-    elif b != 0:
-        value = t / 2.0 + math.sin(b * t) / (2.0 * b)
     else:
-        value = t
-    return (model.sample_rate / model.noise_sd ** 2
-            * model.amplitude ** 2 * value)
+        value = t / 2.0 + math.sin(b * t) / (2.0 * b)
+    ncp = snr_rate * model.amplitude ** 2 * value
+    if not math.isfinite(ncp):  # terms that overflow only together
+        raise ValueError("decay, frequency, amplitude or noise_sd is out of "
+                         "range for the energy bound")
+    return ncp
 
 
 def _range_ncp(model: OnsetModel, lo: float, hi: float) -> float:
@@ -308,8 +320,12 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     for child in child_seeds:
         signal = synth_signal(model, child)
-        series = run_detector(signal, detector_kind, window_length, hop,
-                              cutoff_hz)
+        with np.errstate(over="ignore", invalid="ignore"):  # loud models
+            series = run_detector(signal, detector_kind, window_length, hop,
+                                  cutoff_hz)
+            finite = np.isfinite(series.values.sum())  # mean threshold too
+        if not finite:
+            raise ValueError("amplitude or noise_sd overflows the detector")
         onsets = detect_peaks(series, peak_config)
         # exact: every onset time is one of the series' frame times
         emitted.append(np.searchsorted(series.times, onsets.times))

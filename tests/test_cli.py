@@ -396,6 +396,38 @@ class TestListingFuzz:
         assert main(["search", str(query), "--db", str(db)]) in (0, 2, 3)
 
 
+class TestModelFlagFuzz:
+    # the integer flags stay fixed, so that no example allocates much
+    COMMANDS = (
+        ["power", "bound", "--draws", "10", "--offset-min", "0",
+         "--offset-max", "256"],
+        ["power", "simulate", "--trials", "1", "--length", "16384",
+         "--onset-index", "8192"],
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        flag: st.none() | st.floats()
+        for flag in ("--ssnr", "--noise-var", "--decay", "--freq")}))
+    @example(values={"--decay": 1e308})
+    @example(values={"--noise-var": 1e-320})
+    @example(values={"--freq": 1e308})
+    @example(values={"--ssnr": 1e308})
+    @example(values={"--noise-var": 1e308})
+    @example(values={"--ssnr": 1e300, "--noise-var": 1e300})
+    @example(values={"--ssnr": 1e308, "--noise-var": 1e308})  # detector
+    @example(values={"--decay": 1e-320, "--freq": 1e-320})  # a^2 + b^2 == 0
+    def test_power_ends_in_exit_0_or_2(self, values):
+        # "--flag=value", since argparse takes "-inf" or "-1e308" for a flag
+        flags = [f"{flag}={value!r}" for flag, value in values.items()
+                 if value is not None]
+        for command in self.COMMANDS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(command + flags) in (0, 2)
+            assert caught == []
+
+
 class TestPower:
     SIM_ARGS = ["power", "simulate", "--detector", "dsd", "--trials", "3",
                 "--length", "16384", "--onset-index", "8192", "--seed", "5"]
@@ -421,17 +453,38 @@ class TestPower:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["bound", "simulate"])
-    @pytest.mark.parametrize("flag, message", [
-        ("--ssnr", "ssnr must be positive and finite"),
-        ("--noise-var", "noise_variance must be positive and finite"),
-        ("--decay", "decay must be non-negative and finite")])
-    def test_infinite_model_parameter_is_data_error(self, command, flag,
+    @pytest.mark.parametrize("command, flags, message", [
+        *(pytest.param(command, [flag, "inf"], message,
+                       id=f"{flag}-{message}-{command}")
+          for flag, message in (
+              ("--ssnr", "ssnr must be positive and finite"),
+              ("--noise-var", "noise_variance must be positive and finite"),
+              ("--decay", "decay must be non-negative and finite"))
+          for command in ("bound", "simulate")),
+        # finite, but the mean's phase overflows
+        *(pytest.param(command, ["--freq", "1e308"],
+                       "frequency must keep the phase 2 pi f t finite",
+                       id=f"--freq 1e308-{command}")
+          for command in ("bound", "simulate")),
+        # finite, but a term of the bound's closed form overflows (2 decay,
+        # 4 pi f0, A^2, S_f / sigma^2, or two together); simulate runs
+        *(pytest.param("bound", flags, f"{name} is out of range for the "
+                       "energy bound", id=" ".join(flags))
+          for flags, name in (
+              (["--decay", "1e308"], "decay"),
+              (["--freq", "2e307"], "frequency"),
+              (["--noise-var", "1e-320"], "noise_sd"),
+              (["--ssnr", "1e308"], "amplitude"),
+              (["--noise-var", "1e308"], "amplitude"),
+              (["--ssnr", "1e300", "--noise-var", "1e300"], "amplitude"),
+              (["--ssnr", "1e305", "--noise-var", "1e-10"],
+               "decay, frequency, amplitude or noise_sd"))),
+    ])
+    def test_infinite_model_parameter_is_data_error(self, command, flags,
                                                     message, capsys):
-        # rejected up front with its own name, and nothing overflows first
-        argv = ["power", command, flag, "inf"]
-        if command == "simulate":
-            argv += ["--trials", "2"]
+        # rejected with its own name, and nothing overflows first
+        argv = ["power", command, *flags]
+        argv += ["--draws", "10"] if command == "bound" else ["--trials", "2"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 2

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from humsearch import match
-from humsearch.match import (
-    MatchResult,
-    SimilarityResult,
-    correlative_match,
-    subset_match,
-)
+from humsearch.match import SimilarityResult, correlative_match, subset_match
 from humsearch.peaks import OnsetSequence
 
 
@@ -19,27 +14,28 @@ def seq(times, unit="seconds"):
     return OnsetSequence(times=np.asarray(times, dtype=np.float64), unit=unit)
 
 
-def _cell_score(q, scaled_ref, query_unit):
-    """Score of one anchor cell, the loop oracle's: the pairs of
-    ``subset_match`` laid out along the mapped reference, zero at its
-    unmatched onsets, and their Pearson correlation times L^2/(m*n)."""
-    result = subset_match(seq(q, query_unit), seq(scaled_ref, query_unit))
-    L = result.n_matched
+def _cell_score(q, scaled_ref):
+    """Score and matched count L of one anchor cell, the loop oracle's: the
+    pairs of ``brute_force_subset_match`` laid out along the mapped
+    reference, zero at its unmatched onsets, and their Pearson correlation
+    times L^2/(m*n)."""
+    matched, detected, _, _ = brute_force_subset_match(
+        q.tolist(), scaled_ref.tolist())
+    L = len(matched)
     if L < 2:
-        return 0.0, result
-    at = np.searchsorted(scaled_ref, result.detected_onsets.times)
+        return 0.0, L
+    at = np.searchsorted(scaled_ref, detected)
 
     def centred(v):
         row = np.zeros(len(scaled_ref))
         row[at] = v
-        row[at] = v - row.sum() / L
+        row[at] -= row.sum() / L
         return row
 
-    dx = centred(result.matched_entries.times)
-    ds = centred(result.detected_onsets.times)
+    dx, ds = centred(matched), centred(detected)
     vx, vs = (dx * dx).sum(), (ds * ds).sum()
     rho = (dx * ds).sum() / np.sqrt(vx * vs) if vx > 0 and vs > 0 else 0.0
-    return rho * (L * L / (len(q) * len(scaled_ref))), result
+    return rho * (L * L / (len(q) * len(scaled_ref))), L
 
 
 def brute_force_subset_match(q, r):
@@ -85,8 +81,8 @@ def brute_force_correlative(q, r):
     return best
 
 
-def loop_cells(q, r, query_unit):
-    """(score, alpha, beta, result) of every feasible anchor cell, in (i, j)
+def loop_cells(q, r):
+    """(score, alpha, beta, L) of every feasible anchor cell, in (i, j)
     order over the longer side, mapping the reference onto the query; a
     cell whose mapped reference is not an onset sequence scores NaN."""
     n, m = max(len(q), len(r)), min(len(q), len(r))
@@ -99,19 +95,19 @@ def loop_cells(q, r, query_unit):
                 beta = (q[-1] - q[0]) / (r[j] - r[i])
                 alpha = q[0] - beta * r[i]
             try:
-                score, result = _cell_score(q, alpha + beta * r, query_unit)
+                score, L = _cell_score(q, seq(alpha + beta * r).times)
             except ValueError:
-                score, result = np.nan, None
-            yield score, alpha, beta, result
+                score, L = np.nan, None
+            yield score, alpha, beta, L
 
 
-def loop_correlative_core(q, r, query_unit):
+def loop_correlative_core(q, r):
     """The cell-by-cell anchor search the batched kernel replaced, kept as
     its oracle: one ``_cell_score`` per feasible cell; the first cell with
     the largest finite score wins."""
     best = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for cell in loop_cells(q, r, query_unit):
+        for cell in loop_cells(q, r):
             if np.isfinite(cell[0]) and (best is None or cell[0] > best[0]):
                 best = cell
     if best is None:
@@ -124,43 +120,27 @@ def swapped_correlative_match(query, reference):
     oracle: a query shorter than the reference swapped the roles, fitted
     beats from seconds and inverted the fitted map."""
 
-    def core(q, r, unit):  # the longer q's anchors take r's ends
+    def core(q, r):  # the longer q's anchors take r's ends
         best = None
         for i in range(len(q) - len(r) + 1):
             for j in range(i + len(r) - 1, len(q)):
                 beta = (q[j] - q[i]) / (r[-1] - r[0])
                 alpha = q[i] - beta * r[0]
-                score, result = _cell_score(q, alpha + beta * r, unit)
+                score, L = _cell_score(q, alpha + beta * r)
                 if best is None or score > best[0]:
-                    best = (score, alpha, beta, result)
+                    best = (score, alpha, beta, L)
         return best
 
     q, r = query.times, reference.times
     if len(q) >= len(r):
-        score, alpha, beta, result = core(q, r, query.unit)
-        return SimilarityResult(score, alpha, beta, result)
-    score, alpha_inv, beta_inv, swapped = core(r, q, reference.unit)
-    result = MatchResult(
-        matched_entries=seq((swapped.detected_onsets.times - alpha_inv)
-                            / beta_inv),
-        detected_onsets=seq((swapped.matched_entries.times - alpha_inv)
-                            / beta_inv),
-        false_positives=swapped.false_negatives,
-        false_negatives=swapped.false_positives,
-    )
-    return SimilarityResult(score, -alpha_inv / beta_inv, 1.0 / beta_inv,
-                            result)
+        return SimilarityResult(*core(q, r))
+    score, alpha_inv, beta_inv, L = core(r, q)
+    return SimilarityResult(score, -alpha_inv / beta_inv, 1.0 / beta_inv, L)
 
 
 def assert_same_similarity(got, want):
-    assert (got.score, got.alpha, got.beta) == (
-        want.score, want.alpha, want.beta)
-    assert (got.match.false_positives, got.match.false_negatives) == (
-        want.match.false_positives, want.match.false_negatives)
-    for a, b in ((got.match.matched_entries, want.match.matched_entries),
-                 (got.match.detected_onsets, want.match.detected_onsets)):
-        assert a.unit == b.unit
-        assert np.array_equal(a.times, b.times)
+    assert (got.score, got.alpha, got.beta, got.matched) == (
+        want.score, want.alpha, want.beta, want.matched)
 
 
 def match_or_error(query, reference):
@@ -214,9 +194,21 @@ def tie_heavy_pair(draw):
             OnsetSequence(times=beats, unit="beats"))
 
 
+@st.composite
+def grid_onset_pair(draw):
+    """Two 1-12-onset sequences on one grid, so that distances tie."""
+    step = draw(st.sampled_from([0.25, 1.0, 0.1]))
+
+    def onsets():
+        ticks = draw(st.sets(st.integers(0, 24), min_size=1, max_size=12))
+        return [step * k for k in sorted(ticks)]
+
+    return onsets(), onsets()
+
+
 class TestBatchedAnchorSearch:
     """The batched kernel returns exactly what the cell-by-cell loop does:
-    same score, alpha, beta, matched and detected onsets, and the same
+    same score, alpha, beta and matched count, and the same
     arg-max cell among ties."""
 
     @settings(max_examples=150, deadline=None)
@@ -234,11 +226,13 @@ class TestBatchedAnchorSearch:
         q, r = pair[0].times, pair[1].times
         n, m = max(len(q), len(r)), min(len(q), len(r))
         ii, jj = np.triu_indices(n, m - 1)
-        batch = np.concatenate([
+        scores, counts = (np.concatenate(parts) for parts in zip(*(
             match._batch_scores(q, r, ii[c:c + chunk], jj[c:c + chunk])
-            for c in range(0, len(ii), chunk)])
-        exact = [cell[0] for cell in loop_cells(q, r, "seconds")]
-        assert np.array_equal(batch, exact, equal_nan=True)
+            for c in range(0, len(ii), chunk))))
+        want = list(loop_cells(q, r))
+        assert np.array_equal(scores, [c[0] for c in want], equal_nan=True)
+        # and so is L wherever the mapped reference is an onset sequence
+        assert all(c[3] is None or c[3] == k for c, k in zip(want, counts))
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 1024])
     @pytest.mark.parametrize("length", [1, 5, 8, 77, 128, 129, 1000])
@@ -264,7 +258,7 @@ class TestBatchedAnchorSearch:
         assert_matches_loop(seq(np.sort(rng.uniform(0, 100, 60))), song)
         assert_matches_loop(grid_query(60), song)
         query = grid_query(300)  # 45 150 cells: too many for the loop
-        first = next(loop_cells(query.times, song.times, "seconds"))
+        first = next(loop_cells(query.times, song.times))
         got = correlative_match(query, song)
         assert_same_similarity(got, SimilarityResult(*first))
         assert got.score == 4 / (2 * 300)
@@ -352,7 +346,7 @@ class TestSubsetMatch:
             assert ab.false_negatives == ba.false_positives
             # the pairing itself need not be identical under swapping when
             # distance ties are present, but lengths always agree
-            assert ab.n_matched == ba.n_matched
+            assert len(ab.matched_entries) == len(ba.matched_entries)
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(300):
@@ -364,6 +358,18 @@ class TestSubsetMatch:
             assert result.detected_onsets.times.tolist() == md
             assert result.false_positives == fp
             assert result.false_negatives == fn
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=grid_onset_pair())
+    def test_distance_ties_match_brute_force_oracle(self, pair):
+        # uniform floats almost never tie; onsets on one grid tie exactly
+        # (or, on the 0.1 grid, up to rounding), so the tie rule is run
+        for q, r in (pair, pair[::-1]):
+            result = subset_match(seq(q), seq(r))
+            assert (result.matched_entries.times.tolist(),
+                    result.detected_onsets.times.tolist(),
+                    result.false_positives, result.false_negatives) == (
+                brute_force_subset_match(q, r))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -408,8 +414,7 @@ class TestCorrelativeMatch:
             q = np.sort(rng.uniform(0, 10, rng.integers(2, 9)))
             r = np.sort(rng.uniform(0, 10, rng.integers(2, 9)))
             result = correlative_match(seq(q), seq(r, unit="beats"))
-            match = result.match
-            cap = match.n_matched ** 2 / (len(q) * len(r))
+            cap = result.matched ** 2 / (len(q) * len(r))
             assert result.score <= cap + 1e-12
 
     def test_matches_naive_cell_oracle(self, rng):
@@ -431,9 +436,7 @@ class TestCorrelativeMatch:
         assert result.alpha == pytest.approx(2.0, rel=1e-9)
         # 3 of 5 reference onsets matched perfectly
         assert result.score == pytest.approx(9 / 15, rel=1e-9)
-        assert result.match.matched_entries.unit == "seconds"
-        assert result.match.matched_entries.times == pytest.approx(
-            short_query)
+        assert result.matched == 3
 
     def test_agrees_with_the_role_swap(self, rng):
         # without exact arg-max ties, mapping the song onto a short query
@@ -443,7 +446,7 @@ class TestCorrelativeMatch:
             q = np.sort(rng.uniform(0, 10, rng.integers(2, 13)))
             r = np.sort(rng.uniform(0, 10, rng.integers(2, 13)))
             with np.errstate(invalid="ignore"):
-                scores = sorted(c[0] for c in loop_cells(q, r, "seconds"))
+                scores = sorted(c[0] for c in loop_cells(q, r))
             if len(scores) > 1 and scores[-1] - scores[-2] < 1e-9:
                 continue
             compared += 1
@@ -452,15 +455,7 @@ class TestCorrelativeMatch:
             for a, b in ((got.score, want.score), (got.alpha, want.alpha),
                          (got.beta, want.beta)):
                 assert a == pytest.approx(b, rel=1e-12)
-            assert (got.match.false_positives, got.match.false_negatives) == (
-                want.match.false_positives, want.match.false_negatives)
-
-    @settings(max_examples=150, deadline=None)
-    @given(pair=tie_heavy_pair())
-    def test_matched_entries_are_query_onsets(self, pair):
-        query, reference = pair
-        matched = correlative_match(query, reference).match.matched_entries
-        assert np.isin(matched.times, query.times).all()
+            assert got.matched == want.matched
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,8 @@ class TestOnsetModel:
         ("amplitude", math.nan), ("noise_sd", math.nan), ("decay", math.nan),
         ("frequency", math.nan), ("frequency", math.inf),
         ("amplitude", math.inf), ("noise_sd", math.inf), ("decay", math.inf),
+        # finite, but the mean's phase 2 pi f t overflows
+        ("frequency", 1e308), ("frequency", -1e308),
     ])
     def test_nan_or_infinite_frequency_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -135,6 +137,13 @@ class TestNoncentralityIntegral:
         d = 100
         assert noncentrality_integral(model, d) == pytest.approx(
             9.0 * d / 4.0, rel=1e-9)
+
+    def test_negligible_decay_and_frequency(self):
+        # a^2 + b^2 underflows: the squared mean is A^2 to double precision
+        model = small_model(decay=1e-320, frequency=1e-320, amplitude=3.0,
+                            noise_sd=2.0)
+        assert noncentrality_integral(model, 100) == pytest.approx(
+            9.0 * 100 / 4.0, rel=1e-12)
 
     def test_zero_offset(self):
         assert noncentrality_integral(small_model(), 0) == 0.0
@@ -326,6 +335,17 @@ class TestMonteCarloPower:
         cfg = PeakConfig(neighbors=symmetric_neighbors(2))
         with pytest.raises(ValueError):
             monte_carlo_power(self._model(), "energy", cfg, trials=0, seed=0)
+
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_model_that_overflows_the_detector_rejected(self, kind):
+        # finite samples near 1e308 overflow a frame's energy, its
+        # transform or the squared dominant magnitude; pytest turns any
+        # leaked warning into an error
+        model = OnsetModel.from_ssnr(ssnr=1e308, noise_variance=1e308,
+                                     onset_index=8192, length=16384)
+        cfg = PeakConfig(neighbors=symmetric_neighbors(2))
+        with pytest.raises(ValueError, match="overflows the detector"):
+            monte_carlo_power(model, kind, cfg, trials=1, seed=0)
 
 
 class TestPowerCurve:
