@@ -8,7 +8,6 @@ consumes this representation.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 
@@ -91,17 +90,13 @@ def _decode_wav(data: bytes) -> Signal:
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError("not a RIFF/WAVE file")
 
-    fmt = None
-    payload = None
-    stream = io.BytesIO(data[12:])
-    while True:
-        header = stream.read(8)
-        if len(header) < 8:
-            break
-        chunk_id, size = struct.unpack("<4sI", header)
-        body = stream.read(size)
-        if size % 2:  # chunks are word-aligned
-            stream.read(1)
+    fmt = payload = None
+    view = memoryview(data)
+    offset = 12
+    while offset + 8 <= len(data):
+        chunk_id, size = struct.unpack_from("<4sI", data, offset)
+        body = view[offset + 8:offset + 8 + size]  # cut short at the end
+        offset += 8 + size + size % 2  # chunks are word-aligned
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":
@@ -113,10 +108,10 @@ def _decode_wav(data: bytes) -> Signal:
         raise WavFormatError("missing data chunk")
 
     (format_tag, channels, sample_rate, _byte_rate, _block_align,
-     bits) = struct.unpack("<HHIIHH", fmt[:16])
+     bits) = struct.unpack_from("<HHIIHH", fmt)
     if format_tag == _WAVE_FORMAT_EXTENSIBLE and len(fmt) >= 26:
         # sub-format GUID starts with the effective format tag
-        format_tag = struct.unpack("<H", fmt[24:26])[0]
+        format_tag = struct.unpack_from("<H", fmt, 24)[0]
 
     if format_tag == _WAVE_FORMAT_PCM:
         if bits not in (8, 16, 24):
@@ -130,32 +125,25 @@ def _decode_wav(data: bytes) -> Signal:
     if channels not in (1, 2):
         raise WavFormatError(f"unsupported channel count: {channels}")
 
-    bytes_per_sample = bits // 8
-    frame_size = bytes_per_sample * channels
-    n_frames = len(payload) // frame_size
+    width = bits // 8
+    n_frames = len(payload) // (width * channels)
     if n_frames == 0:
         raise EmptyAudioError("zero-length audio")
-    payload = payload[: n_frames * frame_size]
+    n = n_frames * channels
 
-    if bits == 8:
-        # 8-bit WAV is unsigned with midpoint 128
-        raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-        samples = (raw - 128.0) / 128.0
-    elif bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2").astype(np.float64)
-        samples = raw / 32768.0
-    elif bits == 24:
-        # each sample above a zero low byte is a little-endian int32 of
-        # 256 times its value, so the sign comes with the view
-        wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
-        wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        samples = wide.view("<i4")[:, 0] / float(1 << 31)
+    if format_tag == _WAVE_FORMAT_PCM:
+        # sample k is the top `width` bytes of the little-endian int32 that
+        # ends with it, so an arithmetic shift leaves its signed value
+        raw = np.ndarray(n, "<i4", bytes(4 - width) + payload,
+                         strides=(width,)) >> (32 - bits)
+        if bits == 8:  # unsigned with midpoint 128: u - 128
+            raw ^= -128
+        samples = raw / float(1 << (bits - 1))
     else:  # 32-bit float; a signalling NaN stays NaN, rejected by Signal
         with np.errstate(invalid="ignore"):
-            samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+            samples = np.frombuffer(payload, "<f4", n).astype(np.float64)
         samples = np.clip(samples, -1.0, 1.0)
 
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-
+        samples = (samples[0::2] + samples[1::2]) / 2
     return Signal(samples=samples, sample_rate=int(sample_rate))

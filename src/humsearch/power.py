@@ -125,7 +125,7 @@ class PowerCurve:
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=np.float64)
-        if np.any((probs < 0) | (probs > 1)):
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN too
             raise ValueError("probabilities must lie in [0, 1]")
         if not len(probs) == len(self.offsets) == len(self.stderrs):
             raise ValueError("offsets, probabilities and stderrs must align")
@@ -157,9 +157,12 @@ def noncentrality_integral(model: OnsetModel, offset_samples: float) -> float:
     With ``a = 2 lam`` and ``b = 4 pi f0`` the integral is
 
     ``A^2 [(1 - e^{-at}) / 2a
-    + (a + e^{-at} (b sin bt - a cos bt)) / 2(a^2 + b^2)]``,
+    + (a (1 - e^{-at}) + 2a e^{-at} sin^2(bt/2) + b e^{-at} sin bt)
+    / 2(a^2 + b^2)]``,
 
-    and ``A^2 (t/2 + sin(bt) / 2b)`` without decay (``A^2 t`` if also
+    whose second numerator is ``a + e^{-at} (b sin bt - a cos bt)``
+    written so that it does not cancel while ``e^{-at}`` rounds to 1;
+    ``A^2 (t/2 + sin(bt) / 2b)`` without decay (``A^2 t`` if also
     ``b = 0``).  Monotone non-decreasing in the offset.
     """
     if offset_samples < 0:
@@ -177,9 +180,10 @@ def noncentrality_integral(model: OnsetModel, offset_samples: float) -> float:
     if a * a + b * b == 0:  # a, b zero or below 1e-162: a constant mean
         value = t
     elif a > 0:
-        value = (-math.expm1(-a * t) / (2.0 * a)
-                 + (a + math.exp(-a * t)
-                    * (b * math.sin(b * t) - a * math.cos(b * t)))
+        lost, kept = -math.expm1(-a * t), math.exp(-a * t)
+        value = (lost / (2.0 * a)
+                 + (a * lost + 2.0 * (a * kept) * math.sin(b * t / 2.0) ** 2
+                    + b * kept * math.sin(b * t))
                  / (2.0 * (a * a + b * b)))
     else:
         value = t / 2.0 + math.sin(b * t) / (2.0 * b)
@@ -208,7 +212,11 @@ def energy_tail_probability(model: OnsetModel, threshold: float,
     accumulate: central for a window of noise alone.
     """
     ncp = _range_ncp(model, offset, offset + window_length)
-    return float(ncx2.sf(threshold / model.noise_sd ** 2, window_length, ncp))
+    tail = float(ncx2.sf(threshold / model.noise_sd ** 2, window_length, ncp))
+    if math.isnan(tail):  # ncx2.sf past a noncentrality of about 1e19
+        raise ValueError("decay, frequency, amplitude or noise_sd is out of "
+                         "range for the energy bound")
+    return tail
 
 
 def false_positive_upper_bound(p_alpha: float) -> float:
@@ -248,7 +256,7 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
     Combines, via Boole-Frechet, the threshold-exceedance probability with
     one comparison probability per neighbor.  Each comparison
     P(T[k] > T[k+gap]) is a ratio of two independent chi-squared sums
-    (a doubly non-central F) estimated by Monte Carlo: the emitted
+    (a singly non-central F) estimated by Monte Carlo: the emitted
     window's exclusive share carries its model noncentrality, while the
     competing share is evaluated under the noise-only null, the regime in
     which the two statistics are exchangeable and the comparison bound is
@@ -276,7 +284,7 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
     p_alpha = energy_tail_probability(model, threshold, offset, window_length)
     bound = total + p_alpha - len(peak_config.neighbors)
     return BoundResult(
-        probability=max(0.0, min(1.0, bound)),
+        probability=max(0.0, bound),
         stderr=math.sqrt(var_sum),
     )
 

@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -6,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from humsearch.audio import (
+    _WAVE_FORMAT_EXTENSIBLE,
+    _WAVE_FORMAT_IEEE_FLOAT,
+    _WAVE_FORMAT_PCM,
     EmptyAudioError,
     Signal,
     WavFormatError,
@@ -57,12 +61,10 @@ class TestLoadWav:
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_24bit_extremes_bit_exact(self, channels):
-        # little-endian 3-byte words: most negative, most positive, +1 LSB,
-        # -1 LSB and zero; stereo repeats each word in both channels
-        words = [0x800000, 0x7FFFFF, 0x000001, 0xFFFFFF, 0]
+        # stereo repeats each word in both channels
         values = [-(1 << 23), (1 << 23) - 1, 1, -1, 0]
         payload = b"".join(w.to_bytes(3, "little") * channels
-                           for w in words)
+                           for w in WORDS_24)
         signal = _decode_wav(riff(1, channels, 48000, 24, payload))
         expected = np.array(values, dtype=np.float64) / 2.0 ** 23
         assert np.array_equal(signal.samples, expected)
@@ -110,24 +112,119 @@ def riff(format_tag, channels, sample_rate, bits, payload, fmt_extra=b""):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
-wav_documents = st.builds(
-    riff,
-    format_tag=st.sampled_from([1, 2, 3, 0xFFFE]),
-    channels=st.integers(0, 3),
-    sample_rate=st.integers(0, 2 ** 32 - 1),
-    bits=st.sampled_from([0, 8, 12, 16, 24, 32, 64]),
-    payload=st.binary(max_size=48),
-    fmt_extra=st.binary(max_size=12),
-)
+def wav_documents(max_payload, **fields):
+    """RIFF/WAVE documents with any header field values; ``fields``
+    narrows the values drawn for some of them."""
+    return st.builds(riff, **{
+        "format_tag": st.sampled_from([1, 2, 3, 0xFFFE]),
+        "channels": st.integers(0, 3),
+        "sample_rate": st.integers(0, 2 ** 32 - 1),
+        "bits": st.sampled_from([0, 8, 12, 16, 24, 32, 64]),
+        "payload": st.binary(max_size=max_payload),
+        "fmt_extra": st.binary(max_size=12),
+        **fields})
+
+
+def truncated(documents):
+    return st.tuples(documents, st.integers(0, 120)).map(
+        lambda doc_cut: doc_cut[0][:doc_cut[1]])
+
+
+def decode_wav_oracle(data: bytes) -> Signal:
+    """The decoder `_decode_wav` replaced: one branch per integer depth,
+    the chunks read through a stream, the payload trimmed by a copy."""
+    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+        raise WavFormatError("not a RIFF/WAVE file")
+
+    fmt = None
+    payload = None
+    stream = io.BytesIO(data[12:])
+    while True:
+        header = stream.read(8)
+        if len(header) < 8:
+            break
+        chunk_id, size = struct.unpack("<4sI", header)
+        body = stream.read(size)
+        if size % 2:  # chunks are word-aligned
+            stream.read(1)
+        if chunk_id == b"fmt ":
+            fmt = body
+        elif chunk_id == b"data":
+            payload = body
+
+    if fmt is None or len(fmt) < 16:
+        raise WavFormatError("missing fmt chunk")
+    if payload is None:
+        raise WavFormatError("missing data chunk")
+
+    (format_tag, channels, sample_rate, _byte_rate, _block_align,
+     bits) = struct.unpack("<HHIIHH", fmt[:16])
+    if format_tag == _WAVE_FORMAT_EXTENSIBLE and len(fmt) >= 26:
+        # sub-format GUID starts with the effective format tag
+        format_tag = struct.unpack("<H", fmt[24:26])[0]
+
+    if format_tag == _WAVE_FORMAT_PCM:
+        if bits not in (8, 16, 24):
+            raise WavFormatError(f"unsupported PCM bit depth: {bits}")
+    elif format_tag == _WAVE_FORMAT_IEEE_FLOAT:
+        if bits != 32:
+            raise WavFormatError(f"unsupported float bit depth: {bits}")
+    else:
+        raise WavFormatError(
+            f"non-PCM encoding (format tag 0x{format_tag:04x})")
+    if channels not in (1, 2):
+        raise WavFormatError(f"unsupported channel count: {channels}")
+
+    bytes_per_sample = bits // 8
+    frame_size = bytes_per_sample * channels
+    n_frames = len(payload) // frame_size
+    if n_frames == 0:
+        raise EmptyAudioError("zero-length audio")
+    payload = payload[: n_frames * frame_size]
+
+    if bits == 8:
+        # 8-bit WAV is unsigned with midpoint 128
+        raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+        samples = (raw - 128.0) / 128.0
+    elif bits == 16:
+        raw = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+        samples = raw / 32768.0
+    elif bits == 24:
+        # each sample above a zero low byte is a little-endian int32 of
+        # 256 times its value, so the sign comes with the view
+        wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        samples = wide.view("<i4")[:, 0] / float(1 << 31)
+    else:  # 32-bit float; a signalling NaN stays NaN, rejected by Signal
+        with np.errstate(invalid="ignore"):
+            samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        samples = np.clip(samples, -1.0, 1.0)
+
+    if channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+
+    return Signal(samples=samples, sample_rate=int(sample_rate))
+
+
+def decode_outcome(decode, data):
+    """The decoded signal, or the type and message of what was raised."""
+    try:
+        return decode(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# 24-bit extremes (most negative, most positive, +1 LSB, -1 LSB, zero) as
+# little-endian 3-byte words
+WORDS_24 = [0x800000, 0x7FFFFF, 0x000001, 0xFFFFFF, 0]
 
 
 class TestDecoderFuzz:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(
         st.binary(max_size=64),
-        wav_documents,
-        st.tuples(wav_documents, st.integers(0, 120)).map(
-            lambda doc_cut: doc_cut[0][:doc_cut[1]]),
+        wav_documents(48),
+        truncated(wav_documents(48)),
     ))
     # a 32-bit float sample that is a signalling NaN
     @example(riff(3, 1, 48000, 32, struct.pack("<If", 0x7F800001, 0.5)))
@@ -138,3 +235,38 @@ class TestDecoderFuzz:
             return
         assert len(signal) > 0
         assert np.all(np.abs(signal.samples) <= 1.0)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        wav_documents(300),
+        # well-formed headers, so that most documents decode
+        wav_documents(300, format_tag=st.sampled_from([1, 3]),
+                      channels=st.sampled_from([1, 2]),
+                      bits=st.sampled_from([8, 16, 24, 32]),
+                      fmt_extra=st.just(b"")),
+        truncated(wav_documents(300)),
+    ))
+    @example(riff(1, 1, 48000, 24,
+                  b"".join(w.to_bytes(3, "little") for w in WORDS_24)))
+    @example(riff(1, 2, 48000, 24, b"".join(
+        w.to_bytes(3, "little") + v.to_bytes(3, "little")
+        for w, v in zip(WORDS_24, WORDS_24[::-1]))))
+    @example(riff(1, 1, 48000, 8, bytes([0, 127, 128, 255])))
+    @example(riff(1, 2, 48000, 8, bytes([0, 255, 127, 128])))
+    # an odd-sized fmt chunk, its pad byte, then data
+    @example(riff(1, 1, 48000, 16, bytes(range(8)), fmt_extra=b"\x07"))
+    # a data chunk cut mid-sample, by its size and by the end of the file
+    @example(riff(1, 2, 48000, 24, bytes(range(1, 11))))
+    @example(riff(1, 1, 48000, 16, bytes(range(1, 8)))[:-2])
+    # an EXTENSIBLE fmt too short to hold the sub-format tag
+    @example(riff(0xFFFE, 1, 48000, 16, bytes(4), fmt_extra=bytes(8)))
+    def test_matches_the_replaced_decoder(self, data):
+        got = decode_outcome(_decode_wav, data)
+        want = decode_outcome(decode_wav_oracle, data)
+        if isinstance(want, Signal):
+            assert isinstance(got, Signal)
+            assert got.samples.dtype == want.samples.dtype
+            assert np.array_equal(got.samples, want.samples)
+            assert got.sample_rate == want.sample_rate
+        else:
+            assert got == want

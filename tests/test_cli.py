@@ -467,7 +467,8 @@ class TestPower:
                        id=f"--freq 1e308-{command}")
           for command in ("bound", "simulate")),
         # finite, but a term of the bound's closed form overflows (2 decay,
-        # 4 pi f0, A^2, S_f / sigma^2, or two together); simulate runs
+        # 4 pi f0, A^2, S_f / sigma^2, or two together) or the threshold
+        # tail is not a number; simulate runs
         *(pytest.param("bound", flags, f"{name} is out of range for the "
                        "energy bound", id=" ".join(flags))
           for flags, name in (
@@ -478,6 +479,9 @@ class TestPower:
               (["--noise-var", "1e308"], "amplitude"),
               (["--ssnr", "1e300", "--noise-var", "1e300"], "amplitude"),
               (["--ssnr", "1e305", "--noise-var", "1e-10"],
+               "decay, frequency, amplitude or noise_sd"),
+              # ncx2.sf's tail is NaN past a noncentrality of about 1e19
+              (["--ssnr", "1e17"],
                "decay, frequency, amplitude or noise_sd"))),
     ])
     def test_infinite_model_parameter_is_data_error(self, command, flags,

@@ -139,11 +139,14 @@ class TestNoncentralityIntegral:
             9.0 * d / 4.0, rel=1e-9)
 
     def test_negligible_decay_and_frequency(self):
-        # a^2 + b^2 underflows: the squared mean is A^2 to double precision
-        model = small_model(decay=1e-320, frequency=1e-320, amplitude=3.0,
-                            noise_sd=2.0)
-        assert noncentrality_integral(model, 100) == pytest.approx(
-            9.0 * 100 / 4.0, rel=1e-12)
+        # the squared mean is A^2 to double precision: a^2 + b^2 underflows,
+        # or e^{-at} rounds to 1 and the decay term must not cancel
+        for decay, frequency in ((1e-320, 1e-320), (1e-100, 0.0),
+                                 (1e-100, 1e-100)):
+            model = small_model(decay=decay, frequency=frequency,
+                                amplitude=3.0, noise_sd=2.0)
+            assert noncentrality_integral(model, 100) == pytest.approx(
+                9.0 * 100 / 4.0, rel=1e-12)
 
     def test_zero_offset(self):
         assert noncentrality_integral(small_model(), 0) == 0.0
@@ -157,11 +160,17 @@ class TestNoncentralityIntegral:
                     closed_form_ncp(model, d), rel=1e-12)
 
     def test_matches_quadrature(self):
-        for model in (small_model(), OnsetModel.from_ssnr(),
-                      OnsetModel.from_ssnr(decay=5.0, frequency=100.0)):
+        cases = [(model, 1e-9) for model in (
+            small_model(), OnsetModel.from_ssnr(),
+            OnsetModel.from_ssnr(decay=5.0, frequency=100.0))]
+        # slow decay: e^{-at} rounds to 1 and a - a e^{-at} cos bt cancels
+        cases += [(small_model(decay=decay, frequency=frequency,
+                               amplitude=3.0, noise_sd=2.0), 1e-12)
+                  for decay in (1e-100, 1e-10) for frequency in (0.0, 1e-100)]
+        for model, rel in cases:
             for d in (1, 10, 64, 500, 4096, 24_000, 48_000):
                 assert noncentrality_integral(model, d) == pytest.approx(
-                    quad_ncp(model, d), rel=1e-9)
+                    quad_ncp(model, d), rel=rel)
 
     def test_large_offset_converges(self):
         model = small_model()
@@ -350,9 +359,11 @@ class TestMonteCarloPower:
 
 class TestPowerCurve:
     def test_probability_range_enforced(self):
-        with pytest.raises(ValueError):
-            PowerCurve(offsets=np.array([0]), probabilities=np.array([1.5]),
-                       stderrs=np.array([0.0]))
+        for probability in (1.5, -0.25, math.nan):
+            with pytest.raises(ValueError, match="lie in"):
+                PowerCurve(offsets=np.array([0]),
+                           probabilities=np.array([probability]),
+                           stderrs=np.array([0.0]))
 
     def test_arrays_must_align(self):
         with pytest.raises(ValueError, match="align"):
