@@ -134,16 +134,18 @@ def _decode_wav(data: bytes) -> Signal:
     if format_tag == _WAVE_FORMAT_PCM:
         # sample k is the top `width` bytes of the little-endian int32 that
         # ends with it, so an arithmetic shift leaves its signed value
-        raw = np.ndarray(n, "<i4", bytes(4 - width) + payload,
-                         strides=(width,)) >> (32 - bits)
+        samples = np.ndarray(n, "<i4", bytes(4 - width) + payload,
+                             strides=(width,)) >> (32 - bits)
         if bits == 8:  # unsigned with midpoint 128: u - 128
-            raw ^= -128
-        samples = raw / float(1 << (bits - 1))
+            samples ^= -128
+        scale = 1 << (bits - 1)
     else:  # 32-bit float; a signalling NaN stays NaN, rejected by Signal
         with np.errstate(invalid="ignore"):
             samples = np.frombuffer(payload, "<f4", n).astype(np.float64)
-        samples = np.clip(samples, -1.0, 1.0)
+        np.clip(samples, -1.0, 1.0, out=samples)
+        scale = 1
 
-    if channels == 2:
-        samples = (samples[0::2] + samples[1::2]) / 2
-    return Signal(samples=samples, sample_rate=int(sample_rate))
+    if channels == 2:  # an integer sum is exact: the float mean, bit for bit
+        samples = samples[0::2] + samples[1::2]
+        scale *= 2
+    return Signal(samples=samples / scale, sample_rate=int(sample_rate))

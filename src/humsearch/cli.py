@@ -17,6 +17,7 @@ library function or dataclass that uses it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -268,7 +269,11 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by
+    every call: each ``parse_args`` fills a fresh namespace, so no call
+    sees another's flags."""
     parser = _Parser(prog="humsearch",
                      description="Query-by-humming via onset detection")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,6 +15,7 @@ full detector-plus-peak-picking pipeline.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -104,13 +105,21 @@ class OnsetModel:
         )
 
     def mean_sequence(self) -> np.ndarray:
-        """Deterministic mean of each sample."""
+        """Deterministic mean of each sample: one read-only array per
+        model, built on the first call."""
+        return self._means
+
+    @functools.cached_property
+    def _means(self) -> np.ndarray:
+        # kept in the instance __dict__, so equality, hashing and
+        # dataclasses.replace see only the fields
         means = np.zeros(self.length)
         t = (np.arange(self.onset_index, self.length)
              - self.onset_index) / self.sample_rate
         means[self.onset_index:] = (
             self.amplitude * np.exp(-self.decay * t)
             * np.cos(2 * np.pi * self.frequency * t))
+        means.flags.writeable = False
         return means
 
 
@@ -140,10 +149,16 @@ class BoundResult:
 
 
 def synth_signal(model: OnsetModel, seed: int) -> Signal:
-    """Draw one realization of the model; deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    samples = model.mean_sequence() + rng.normal(
-        0.0, model.noise_sd, model.length)
+    """Draw one realization of the model; deterministic given the seed.
+
+    Standard normals are scaled by ``noise_sd`` in place and the model's
+    cached mean is added: bit for bit ``mean + rng.normal(0.0, noise_sd,
+    length)``, since ``Generator.normal`` returns ``loc + scale * z`` from
+    the same stream and ``0.0 + x == x``.
+    """
+    samples = np.random.default_rng(seed).standard_normal(model.length)
+    samples *= model.noise_sd
+    samples += model.mean_sequence()
     return Signal(samples=samples, sample_rate=model.sample_rate)
 
 
@@ -316,10 +331,11 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
     detector-plus-peak-picking pipeline (``hop`` defaults to the
     detector's own, as in :func:`run_detector`).
 
-    Each trial synthesizes a fresh realization, detects onsets, and
-    credits the frame(s) at which onsets were emitted.  Per-trial seeds
-    are spawned from the master seed, so results do not depend on how
-    trials might be partitioned across workers.
+    Each trial draws a fresh realization with :func:`synth_signal` from
+    a seed spawned from the master seed (so results do not depend on how
+    trials might be partitioned across workers), detects onsets, and
+    credits the frame(s) at which onsets were emitted.  The model's mean
+    is built once, on the first trial, and shared by all of them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

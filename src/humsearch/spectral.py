@@ -31,6 +31,9 @@ WINDOW_LENGTH = 4096
 # Humming carries essentially no onset information above 1 kHz
 # (fundamental 80-200 Hz plus a few harmonics).
 CUTOFF_HZ = 1000.0
+# one-sided spectrum bytes that ``stft`` transforms at a time (63 frames
+# of a 4096-sample window)
+_BLOCK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,9 @@ def stft(signal: Signal, window_length: int, hop: int,
 
     Each frame goes through a real FFT and only its K =
     :func:`band_limit_bins` bins at or below ``cutoff_hz`` are kept; the
-    default cutoff is the detectors' band, ``CUTOFF_HZ``.
+    default cutoff is the detectors' band, ``CUTOFF_HZ``.  Frames are
+    transformed in blocks of about ``_BLOCK_BYTES`` of spectrum, so the
+    full one-sided spectrum of a long recording never exists at once.
     Coefficients are the unnormalized window DFT (no 1/sqrt(w) factor), so
     with the cutoff at Nyquist, per frame
     ``|X_0|^2 + 2 sum_{0<k<w/2} |X_k|^2 + |X_{w/2}|^2 == w * sum_m x[m]^2``.
@@ -123,8 +128,11 @@ def stft(signal: Signal, window_length: int, hop: int,
     """
     k = band_limit_bins(window_length, signal.sample_rate, cutoff_hz)
     frames = frame_signal(signal.samples, window_length, hop)
-    # a copy, so that the bins above the band are freed at once
-    coeffs = np.fft.rfft(frames, axis=1)[:, :k].copy()
+    coeffs = np.empty((len(frames), k), dtype=np.complex128)
+    block = max(1, _BLOCK_BYTES // (16 * (window_length // 2 + 1)))
+    for start in range(0, len(frames), block):
+        coeffs[start:start + block] = np.fft.rfft(
+            frames[start:start + block], axis=1)[:, :k]
     times = frame_times(len(frames), window_length, hop, signal.sample_rate)
     return Spectrogram(
         frames=coeffs,

@@ -165,6 +165,53 @@ class TestCliEqualsLibrary:
             band_limit_bins(detect.WINDOW_LENGTH, SR, detect.CUTOFF_HZ))
 
 
+class TestOneParserPerProcess:
+    """``main`` reuses one parser, and no call sees another's flags."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_hop_flag_does_not_outlive_its_call(self, tmp_path, capsys):
+        model = OnsetModel.from_ssnr(length=16384, onset_index=8192)
+        config = PeakConfig(neighbors=symmetric_neighbors(
+            DETECTORS["energy"].neighbor_radius))
+        args = ["power", "simulate", "--detector", "energy", "--trials", "2"]
+        for hop_flags, hop in ((["--hop", "1024"], 1024), ([], None)):
+            out = tmp_path / "sim.csv"
+            assert main(args + hop_flags + ["--out", str(out)]
+                        + TestCliEqualsLibrary.MODEL_ARGS) == 0
+            curve = monte_carlo_power(model, "energy", config, trials=2,
+                                      hop=hop)
+            assert out.read_text() == library_csv(curve)
+
+    def test_valid_call_after_a_usage_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", TestSearch.PATTERNS)
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps(TestSearch.PATTERNS["s02"]))
+        argv = ["search", str(query), "--db", str(db)]
+        assert main(argv + ["--detector", "nope"]) == 1
+        assert main(["power", "simulate", "--trials", "0"]) == 1
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[1] == "s02"
+
+    def test_detector_flag_does_not_outlive_its_call(self, tmp_path,
+                                                     monkeypatch):
+        wav = click_train_wav(tmp_path / "q.wav", [0.5, 1.0, 1.6, 2.5])
+        db = write_db(tmp_path / "db.json", TestSearch.PATTERNS)
+        kinds = []
+        real = detect.run_detector
+
+        def spy(signal, kind, *args, **kwargs):
+            kinds.append(kind)
+            return real(signal, kind, *args, **kwargs)
+
+        monkeypatch.setattr(detect, "run_detector", spy)
+        argv = ["search", str(wav), "--db", str(db), "--json"]
+        assert main(argv + ["--detector", "energy"]) == 0
+        assert main(argv) == 0
+        assert kinds == ["energy", "spectral_dissimilarity"]
+
+
 class TestDetect:
     def test_silent_wav(self, tmp_path, capsys):
         path = write_pcm_wav(tmp_path / "silence.wav", np.zeros(SR))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import warnings
@@ -46,6 +47,24 @@ def closed_form_ncp(model, d):
                  ) / (2.0 * (a * a + b * b))
     return (model.sample_rate / model.noise_sd ** 2
             * model.amplitude ** 2 * (part1 + part2))
+
+
+def mean_oracle(model):
+    """The model mean, built afresh on every call as before it was
+    cached."""
+    means = np.zeros(model.length)
+    t = (np.arange(model.onset_index, model.length)
+         - model.onset_index) / model.sample_rate
+    means[model.onset_index:] = (
+        model.amplitude * np.exp(-model.decay * t)
+        * np.cos(2 * np.pi * model.frequency * t))
+    return means
+
+
+def synth_oracle(model, seed):
+    """The draw that the scaled standard-normal fill replaced."""
+    rng = np.random.default_rng(seed)
+    return mean_oracle(model) + rng.normal(0.0, model.noise_sd, model.length)
 
 
 def quad_ncp(model, d):
@@ -102,8 +121,40 @@ class TestOnsetModel:
         assert np.all(means[:64] == 0.0)
         assert np.all(means[64:] == 1.0)
 
+    def test_mean_sequence_is_built_once_and_read_only(self):
+        model = small_model()
+        means = model.mean_sequence()
+        assert model.mean_sequence() is means
+        assert not means.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            means[0] = 1.0
+        assert np.array_equal(means, mean_oracle(model))
+
+    def test_equality_and_hash_see_only_the_parameters(self):
+        names = ["amplitude", "decay", "frequency", "noise_sd",
+                 "sample_rate", "onset_index", "length"]
+        a, b = small_model(), small_model()
+        a.mean_sequence()
+        assert [f.name for f in dataclasses.fields(a)] == names
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, name) for name in names))
+        assert dataclasses.replace(a) == a
+        c = dataclasses.replace(a, decay=0.0)
+        assert c != a and c == small_model(decay=0.0)
+        assert np.array_equal(c.mean_sequence(), mean_oracle(c))
+
 
 class TestSynthSignal:
+    @pytest.mark.parametrize("model", [
+        *(OnsetModel.from_ssnr(ssnr) for ssnr in (0.05, 1.0, 5000.0, 1e12)),
+        OnsetModel.from_ssnr(decay=0.0), OnsetModel.from_ssnr(frequency=0.0),
+    ])
+    def test_equals_the_replaced_draw(self, model):
+        seeds = [*range(50), *np.random.SeedSequence(3).spawn(10)]
+        for seed in seeds:
+            assert np.array_equal(synth_signal(model, seed).samples,
+                                  synth_oracle(model, seed))
+
     def test_determinism(self):
         model = small_model()
         a = synth_signal(model, 7)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from humsearch import spectral
 from humsearch.audio import Signal
 from humsearch.detect import (
     dominant_spectral_dissimilarity,
@@ -43,6 +44,14 @@ def oracle_stft(signal, window_length, hop, cutoff_hz=1000.0):
         frame_times=frame_times(len(frames), window_length, hop,
                                 signal.sample_rate),
     )
+
+
+def whole_rfft_stft(signal, window_length, hop, cutoff_hz=1000.0):
+    """The real FFT of every frame in one call, band copied out afterwards:
+    the transform that the blocked ``stft`` replaced."""
+    frames = frame_signal(signal.samples, window_length, hop)
+    k = band_limit_bins(window_length, signal.sample_rate, cutoff_hz)
+    return np.fft.rfft(frames, axis=1)[:, :k]
 
 
 def hum_signal(seed, seconds=8.0, sample_rate=48000):
@@ -256,3 +265,32 @@ class TestBandOnlyStftAgainstOracle:
                                 cfg)
             assert np.array_equal(got.times, want.times)
 
+
+class TestBlockedStftAgainstWholeTransform:
+    """``stft`` transforms blocks of frames; each frame's coefficients are
+    bit-equal to those of one ``rfft`` over all frames."""
+
+    @staticmethod
+    def block(window):
+        return spectral._BLOCK_BYTES // (16 * (window // 2 + 1))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_frame_counts_around_one_block(self, extra, rng):
+        window, hop = 4096, 2048
+        n_frames = self.block(window) + extra
+        signal = Signal(samples=rng.normal(size=n_frames * hop),
+                        sample_rate=48000)
+        got = stft(signal, window, hop)
+        assert got.n_frames == n_frames
+        assert np.array_equal(got.frames,
+                              whole_rfft_stft(signal, window, hop))
+
+    def test_hop_longer_than_window_over_several_blocks(self, rng):
+        window, hop = 1024, 3000
+        n_frames = 2 * self.block(window) + 7
+        signal = Signal(samples=rng.normal(size=n_frames * hop - 5),
+                        sample_rate=48000)
+        got = stft(signal, window, hop, 4000.0)
+        assert got.n_frames == n_frames
+        assert np.array_equal(got.frames,
+                              whole_rfft_stft(signal, window, hop, 4000.0))
