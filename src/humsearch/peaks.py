@@ -94,7 +94,7 @@ class OnsetSequence:
         return "".join(f"{t:.6f}\n" for t in self.times)
 
     def to_json(self) -> str:
-        return json.dumps([float(t) for t in self.times])
+        return json.dumps(self.times.tolist())
 
 
 def threshold_value(series: DetectionSeries, rule: ThresholdRule,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ncx2
 
 from .audio import Signal
 from .detect import (CUTOFF_HZ, DETECTORS, WINDOW_LENGTH, DetectorKind,
@@ -226,6 +225,9 @@ def energy_tail_probability(model: OnsetModel, threshold: float,
     and the noncentrality its samples [offset, offset + window_length)
     accumulate: central for a window of noise alone.
     """
+    # Local: only `power bound` needs scipy, and importing it at module
+    # level cost every other command about 0.9 s.
+    from scipy.stats import ncx2
     ncp = _range_ncp(model, offset, offset + window_length)
     tail = float(ncx2.sf(threshold / model.noise_sd ** 2, window_length, ncp))
     if math.isnan(tail):  # ncx2.sf past a noncentrality of about 1e19

@@ -106,7 +106,7 @@ def db_save(db: Database, path) -> None:
         {
             "id": rec.id,
             "title": rec.title,
-            "onsets_beats": [float(t) for t in rec.onsets_beats.times],
+            "onsets_beats": rec.onsets_beats.times.tolist(),
         }
         for rec in db.records
     ]

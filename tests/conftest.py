@@ -56,3 +56,15 @@ def write_float_wav(path, samples, sample_rate=48000, channels=1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def wide_range_times(count=10000, seed=0):
+    """Strictly increasing float64 times of both signs spanning 1e-20..1e20
+    in magnitude, with the awkward values 0.1, 1/3, 5e-324, 1e308 and
+    -0.0, for checks that serialisation keeps every value's shortest
+    repr."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-20, 20, count)
+    values = np.concatenate([rng.choice([-1.0, 1.0], count) * magnitudes,
+                             [0.1, 1 / 3, 5e-324, 1e308, -0.0]])
+    return np.unique(values)

@@ -14,6 +14,8 @@ from humsearch.peaks import (
     threshold_value,
 )
 
+from conftest import wide_range_times
+
 
 def series_of(values, dt=0.01):
     values = np.asarray(values, dtype=np.float64)
@@ -120,6 +122,10 @@ class TestOnsetSequence:
         seq = OnsetSequence(times=[0.5, 1.25])
         assert seq.to_text() == "0.500000\n1.250000\n"
         assert json.loads(seq.to_json()) == [0.5, 1.25]
+
+    def test_json_matches_per_element_float_conversion(self):
+        seq = OnsetSequence(times=wide_range_times())
+        assert seq.to_json() == json.dumps([float(t) for t in seq.times])
 
     def test_bad_unit(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ from humsearch.store import (
     db_save,
 )
 
+from conftest import wide_range_times
+
 
 def record(song_id, onsets, title=None):
     return SongRecord(
@@ -144,6 +146,19 @@ class TestDbSave:
         db_save(db, path)
         assert db_load(path).records[0].onsets_beats.times.tolist() == [
             0.0, 0.5, 1.5]
+
+    def test_bytes_match_per_element_float_conversion(self, tmp_path):
+        times = wide_range_times()
+        assert str(times[np.flatnonzero(times == 0)[0]]) == "-0.0"
+        db = Database(records=(record("w", times, title="Wide"),
+                               record("s", [0, 1])))
+        path = tmp_path / "db.json"
+        db_save(db, path)
+        doc = [{"id": rec.id, "title": rec.title,
+                "onsets_beats": [float(t) for t in rec.onsets_beats.times]}
+               for rec in db.records]
+        expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_unwritable_path(self, tmp_path):
         db = Database(records=(record("s", [0, 1]),))
