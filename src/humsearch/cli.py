@@ -7,7 +7,7 @@ Commands::
     humsearch db      add|list|validate  --db DB  [record fields]
     humsearch power   bound|simulate  [model flags]
 
-Exit codes: 0 success, 1 usage, 2 data/validation, 3 I/O.
+Exit codes: 0 success, 1 usage, 2 data/validation/memory, 3 I/O.
 
 A flag that sets a library parameter is stored under that parameter's
 name and passed on only when given, so every default lives in the
@@ -156,7 +156,7 @@ def _cmd_search(args) -> int:
     db = store.db_load(args.db)
     query = _load_query(args.query, args)
     if len(query) < 2:
-        raise store.DatabaseError(
+        raise ValueError(
             "query produced fewer than 2 onsets; please re-record with "
             "clearer rhythm")
     result = search.rank(db, query, **_given(args, "top_k", "closeness"))
@@ -228,6 +228,9 @@ def _cmd_power(args) -> int:
         window_length = getattr(args, "window_length", detect.WINDOW_LENGTH)
         offsets = np.arange(args.offset_min, args.offset_max + 1,
                             args.offset_step)
+        if len(offsets) == 0:
+            raise UsageError(f"--offset-min {args.offset_min} is above "
+                             f"--offset-max {args.offset_max}")
         curve = power.energy_power_curve(
             model, _peak_config(args, "energy"), threshold, offsets,
             **_given(args, "window_length", "hop", "draws", "seed"))
@@ -342,7 +345,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, MemoryError) as exc:  # an array the host refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

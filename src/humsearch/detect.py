@@ -10,8 +10,9 @@ statistics over a sliding window, designed to spike at note onsets:
   squared maximum low-band bin magnitude.
 
 ``DETECTORS`` is the one table of per-detector defaults (CLI name, hop,
-peak-picking neighbor radius); ``WINDOW_LENGTH`` and ``CUTOFF_HZ``, shared
-by all of them, are defined in :mod:`.spectral` and re-exported here.
+peak-picking neighbor radius), beside the window all of them share,
+``WINDOW_LENGTH``; the band is :data:`.spectral.CUTOFF_HZ`.  Only
+:func:`run_detector` fills these in; the detectors take them as arguments.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from . import spectral
 from .audio import Signal
-from .spectral import (CUTOFF_HZ, WINDOW_LENGTH, Spectrogram, frame_signal,
-                       frame_times)
+from .spectral import Spectrogram, frame_signal, frame_times
 
 __all__ = [
     "DetectionSeries",
@@ -32,7 +32,6 @@ __all__ = [
     "DetectorKind",
     "DETECTORS",
     "WINDOW_LENGTH",
-    "CUTOFF_HZ",
     "energy_detector",
     "spectral_dissimilarity",
     "dominant_spectral_dissimilarity",
@@ -54,6 +53,8 @@ class DetectorDefaults:
     neighbor_radius: int
 
 
+# The detectors' analysis window in samples.
+WINDOW_LENGTH = 4096
 DETECTORS: dict[str, DetectorDefaults] = {
     "energy": DetectorDefaults("energy", hop=512, neighbor_radius=8),
     "spectral_dissimilarity": DetectorDefaults("sd", hop=2048,
@@ -89,8 +90,8 @@ class DetectionSeries:
         return len(self.values)
 
 
-def energy_detector(signal: Signal, window_length: int = WINDOW_LENGTH,
-                    hop: int = DETECTORS["energy"].hop) -> DetectionSeries:
+def energy_detector(signal: Signal, window_length: int,
+                    hop: int) -> DetectionSeries:
     """Local energy per hopping window: ``T[n] = sum_i x[n*h + i]^2``."""
     frames = frame_signal(signal.samples, window_length, hop)
     values = np.einsum("ij,ij->i", frames, frames)
@@ -148,7 +149,7 @@ def dominant_spectral_dissimilarity(
 
 def run_detector(signal: Signal, kind: DetectorKind,
                  window_length: int = WINDOW_LENGTH, hop: int | None = None,
-                 cutoff_hz: float = CUTOFF_HZ) -> DetectionSeries:
+                 cutoff_hz: float = spectral.CUTOFF_HZ) -> DetectionSeries:
     """Dispatch to one of the three detectors, with the hop from
     ``DETECTORS`` unless ``hop`` is given; the spectral detectors see the
     STFT band at or below ``cutoff_hz``."""

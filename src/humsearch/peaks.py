@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .detect import DETECTORS, DetectionSeries
+from .detect import DetectionSeries
 
 __all__ = [
     "PeakConfig",
@@ -40,13 +40,12 @@ def symmetric_neighbors(r: int) -> tuple[int, ...]:
 class PeakConfig:
     """Peak-picking parameters.
 
-    ``neighbors`` are in series-index units.  ``min_gap`` is in seconds of
-    series time.  The defaults are the energy detector's calibrated
-    settings.
+    ``neighbors`` are in series-index units and have no default: each
+    detector has its own calibrated radius (``detect.DETECTORS``).
+    ``min_gap`` is in seconds of series time.
     """
 
-    neighbors: tuple[int, ...] = symmetric_neighbors(
-        DETECTORS["energy"].neighbor_radius)
+    neighbors: tuple[int, ...]
     threshold_rule: ThresholdRule = "mean_scaled"
     threshold_scale: float = 1.0
     min_gap: float = 0.1

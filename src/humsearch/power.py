@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import Signal
-from .detect import (CUTOFF_HZ, DETECTORS, WINDOW_LENGTH, DetectorKind,
-                     run_detector)
+from .detect import DETECTORS, WINDOW_LENGTH, DetectorKind, run_detector
 from .peaks import PeakConfig, detect_peaks
 
 __all__ = [
@@ -326,12 +325,11 @@ def energy_power_curve(model: OnsetModel, peak_config: PeakConfig,
 
 def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
                       peak_config: PeakConfig, trials: int, seed: int = 0,
-                      *, window_length: int = WINDOW_LENGTH,
-                      hop: int | None = None,
-                      cutoff_hz: float = CUTOFF_HZ) -> PowerCurve:
+                      **detector_options) -> PowerCurve:
     """Estimate the per-offset emission probability by simulating the full
-    detector-plus-peak-picking pipeline (``hop`` defaults to the
-    detector's own, as in :func:`run_detector`).
+    detector-plus-peak-picking pipeline; ``detector_options``
+    (``window_length``, ``hop``, ``cutoff_hz``) are passed on to
+    :func:`run_detector`, which fills in the detector's own defaults.
 
     Each trial draws a fresh realization with :func:`synth_signal` from
     a seed spawned from the master seed (so results do not depend on how
@@ -347,8 +345,7 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
     for child in child_seeds:
         signal = synth_signal(model, child)
         with np.errstate(over="ignore", invalid="ignore"):  # loud models
-            series = run_detector(signal, detector_kind, window_length, hop,
-                                  cutoff_hz)
+            series = run_detector(signal, detector_kind, **detector_options)
             finite = np.isfinite(series.values.sum())  # mean threshold too
         if not finite:
             raise ValueError("amplitude or noise_sd overflows the detector")
@@ -356,10 +353,9 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
         # exact: every onset time is one of the series' frame times
         emitted.append(np.searchsorted(series.times, onsets.times))
     # every trial has the same length, so the last series fixes the grid
-    hop, n_frames = series.hop, len(series)
-    counts = np.bincount(np.concatenate(emitted), minlength=n_frames)
+    counts = np.bincount(np.concatenate(emitted), minlength=len(series))
 
-    centers = np.arange(n_frames) * hop + window_length // 2
+    centers = np.arange(len(series)) * series.hop + series.window_length // 2
     probs = counts / trials
     return PowerCurve(offsets=centers - model.onset_index,
                       probabilities=probs,

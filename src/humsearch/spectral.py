@@ -4,8 +4,9 @@ The DFT here is unitary (1/sqrt(N) scaling) so that Parseval's identity
 holds exactly: ``norm(dft(x)) == norm(x)``.  The short-time transform used
 by the spectral detection functions is the plain unnormalized window DFT
 of a hopping rectangular window.  The detectors read only the low band
-(1 kHz at the defaults), so each frame is transformed with a real FFT and
-only its bins at or below the cutoff are kept.
+(``CUTOFF_HZ``, 1 kHz), so each frame is transformed with a real FFT and
+only its bins at or below the cutoff are kept.  Window and hop have no
+defaults here; :func:`.detect.run_detector` fills in the detectors'.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .audio import Signal
 
 __all__ = [
-    "WINDOW_LENGTH",
     "CUTOFF_HZ",
     "Spectrogram",
     "dft",
@@ -25,11 +25,8 @@ __all__ = [
     "band_limit_bins",
 ]
 
-# The detectors' analysis window in samples and their band (``detect``
-# re-exports both).
-WINDOW_LENGTH = 4096
-# Humming carries essentially no onset information above 1 kHz
-# (fundamental 80-200 Hz plus a few harmonics).
+# The detectors' band: humming carries essentially no onset information
+# above 1 kHz (fundamental 80-200 Hz plus a few harmonics).
 CUTOFF_HZ = 1000.0
 # one-sided spectrum bytes that ``stft`` transforms at a time (63 frames
 # of a 4096-sample window)

@@ -21,7 +21,7 @@ from humsearch.power import (
     write_power_csv,
 )
 from humsearch.search import rank
-from humsearch.spectral import band_limit_bins, stft
+from humsearch.spectral import CUTOFF_HZ, band_limit_bins, stft
 from humsearch.store import db_load
 
 from conftest import write_pcm_wav
@@ -76,18 +76,26 @@ class TestCliEqualsLibrary:
         assert len(onsets) >= 4
         assert capsys.readouterr().out == onsets.to_json() + "\n"
 
-    @pytest.mark.parametrize("kind", sorted(DETECTORS))
-    def test_simulate_equals_library(self, kind, tmp_path, capsys):
+    @pytest.mark.parametrize("kind, flags, options", [
+        pytest.param(kind, flags, options, id=kind + suffix)
+        for kind in sorted(DETECTORS) for flags, options, suffix in (
+            ([], {}, ""),
+            (["--window", "2048", "--hop", "1024", "--cutoff-hz", "500"],
+             {"window_length": 2048, "hop": 1024, "cutoff_hz": 500},
+             "-w2048-h1024-c500"))])
+    def test_simulate_equals_library(self, kind, flags, options, tmp_path,
+                                     capsys):
         out = tmp_path / "sim.csv"
         assert main(["power", "simulate", "--detector",
                      DETECTORS[kind].cli_name, "--trials", "3",
-                     "--out", str(out)] + self.MODEL_ARGS) == 0
+                     "--out", str(out)] + flags + self.MODEL_ARGS) == 0
         config = PeakConfig(neighbors=symmetric_neighbors(
             DETECTORS[kind].neighbor_radius))
-        curve = monte_carlo_power(
-            OnsetModel.from_ssnr(length=16384, onset_index=8192), kind,
-            config, trials=3)
+        model = OnsetModel.from_ssnr(length=16384, onset_index=8192)
+        curve = monte_carlo_power(model, kind, config, trials=3, **options)
         assert out.read_text() == library_csv(curve)
+        window = options.get("window_length", detect.WINDOW_LENGTH)
+        assert curve.offsets[0] == window // 2 - model.onset_index
 
     def test_bound_equals_library(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"
@@ -96,8 +104,9 @@ class TestCliEqualsLibrary:
                      "--out", str(out)] + self.MODEL_ARGS) == 0
         model = OnsetModel.from_ssnr(length=16384, onset_index=8192)
         curve = energy_power_curve(
-            model, PeakConfig(), REFERENCE_SSNR * model.noise_sd ** 2,
-            [-512, 0, 512], draws=300)
+            model, PeakConfig(neighbors=symmetric_neighbors(
+                DETECTORS["energy"].neighbor_radius)),
+            REFERENCE_SSNR * model.noise_sd ** 2, [-512, 0, 512], draws=300)
         assert out.read_text() == library_csv(curve)
 
     def test_search_equals_library(self, tmp_path, capsys):
@@ -157,12 +166,14 @@ class TestCliEqualsLibrary:
             series = run_detector(sig, kind)
             assert (series.hop, series.window_length) == (
                 defaults.hop, detect.WINDOW_LENGTH)
-            curve = monte_carlo_power(model, kind, PeakConfig(), trials=1)
+            curve = monte_carlo_power(
+                model, kind, PeakConfig(neighbors=symmetric_neighbors(
+                    defaults.neighbor_radius)), trials=1)
             assert set(np.diff(curve.offsets)) == {defaults.hop}
             assert curve.offsets[0] == (detect.WINDOW_LENGTH // 2
                                         - model.onset_index)
         assert stft(sig, detect.WINDOW_LENGTH, 2048).frames.shape[1] == (
-            band_limit_bins(detect.WINDOW_LENGTH, SR, detect.CUTOFF_HZ))
+            band_limit_bins(detect.WINDOW_LENGTH, SR, CUTOFF_HZ))
 
 
 class TestOneParserPerProcess:
@@ -554,17 +565,40 @@ class TestPower:
             "", f"error: {name} must be positive\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_refused_allocation_is_data_error(self, command, tmp_path,
+                                              capsys):
+        # 10**14 float64 samples (728 TiB) exceed a 47-bit address space,
+        # so the allocation fails at once whatever the overcommit policy
+        huge = str(10 ** 14)
+        if command == "simulate":
+            argv = ["power", "simulate", "--trials", "1", "--length", huge]
+        else:
+            wav = click_train_wav(tmp_path / "q.wav", [0.5, 1.0])
+            argv = ["detect", str(wav), "--window", huge]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "allocate" in err
+
     def test_simulate_zero_trials_usage_error(self, capsys):
         assert main(["power", "simulate", "--trials", "0"]) == 1
         assert capsys.readouterr().err == (
             "usage error: argument --trials: must be >= 1, got 0\n")
 
-    def test_bound_nonpositive_offset_step_usage_error(self, capsys):
-        for step in ("0", "-128"):
-            assert main(["power", "bound", "--offset-step", step]) == 1
-            assert capsys.readouterr().err == (
-                "usage error: argument --offset-step: must be >= 1, "
-                f"got {step}\n")
+    def test_bound_nonpositive_offset_step_usage_error(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "bound.csv"
+        cases = [(["--offset-step", step],
+                  f"argument --offset-step: must be >= 1, got {step}")
+                 for step in ("0", "-128")]
+        cases.append((["--offset-min", "5", "--offset-max", "0"],
+                      "--offset-min 5 is above --offset-max 0"))
+        for flags, message in cases:
+            assert main(["power", "bound", "--out", str(out)] + flags) == 1
+            assert capsys.readouterr() == ("", f"usage error: {message}\n")
+            assert not out.exists()
 
     def test_bound_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"

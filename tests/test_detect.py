@@ -47,7 +47,7 @@ class TestDetectionSeries:
 class TestEnergyDetector:
     def test_zero_signal(self):
         sig = Signal(samples=np.zeros(5000), sample_rate=48000)
-        assert np.all(energy_detector(sig).values == 0)
+        assert np.all(energy_detector(sig, 4096, 512).values == 0)
 
     def test_tiny_example_with_tail_padding(self):
         sig = Signal(samples=np.array([1.0, 2.0]), sample_rate=10)
@@ -76,7 +76,8 @@ class TestEnergyDetector:
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
-            energy_detector(Signal(samples=np.zeros(0), sample_rate=1))
+            energy_detector(Signal(samples=np.zeros(0), sample_rate=1),
+                            4096, 512)
 
 
 class TestSpectralDissimilarity:

@@ -90,9 +90,13 @@ class TestSymmetricNeighbors:
 
 class TestPeakConfig:
     def test_defaults(self):
-        cfg = PeakConfig()
+        # each detector has its own radius, so neighbors has no default
+        with pytest.raises(TypeError, match="neighbors"):
+            PeakConfig()
+        cfg = PeakConfig(neighbors=symmetric_neighbors(8))
         assert cfg.neighbors == symmetric_neighbors(8)
-        assert cfg.min_gap == 0.1
+        assert (cfg.threshold_rule, cfg.threshold_scale, cfg.min_gap) == (
+            "mean_scaled", 1.0, 0.1)
 
     def test_zero_neighbor_rejected(self):
         with pytest.raises(ValueError):
@@ -104,13 +108,13 @@ class TestPeakConfig:
 
     def test_bad_rule(self):
         with pytest.raises(ValueError):
-            PeakConfig(threshold_rule="median")
+            PeakConfig(neighbors=(-1, 1), threshold_rule="median")
 
     @pytest.mark.parametrize("name", ["min_gap", "threshold_scale"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_nonpositive_or_nan_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
-            PeakConfig(**{name: value})
+            PeakConfig(neighbors=(-1, 1), **{name: value})
 
 
 class TestOnsetSequence:
