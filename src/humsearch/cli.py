@@ -155,10 +155,6 @@ def _cmd_detect(args) -> int:
 def _cmd_search(args) -> int:
     db = store.db_load(args.db)
     query = _load_query(args.query, args)
-    if len(query) < 2:
-        raise ValueError(
-            "query produced fewer than 2 onsets; please re-record with "
-            "clearer rhythm")
     result = search.rank(db, query, **_given(args, "top_k", "closeness"))
     if args.json:
         doc = [
@@ -166,9 +162,9 @@ def _cmd_search(args) -> int:
                 "rank": i + 1,
                 "id": e.song_id,
                 "title": e.title,
-                "score": e.score,
-                "alpha": e.alpha,
-                "beta": e.beta,
+                "score": e.match.score,
+                "alpha": e.match.alpha,
+                "beta": e.match.beta,
                 "close": e.within_closeness,
             }
             for i, e in enumerate(result.entries)
@@ -179,7 +175,7 @@ def _cmd_search(args) -> int:
         for i, e in enumerate(result.entries):
             flag = " *" if e.within_closeness else ""
             lines.append(
-                f"{i + 1:>4}  {e.song_id:<16} {e.score:>7.3f}  "
+                f"{i + 1:>4}  {e.song_id:<16} {e.match.score:>7.3f}  "
                 f"{e.title}{flag}")
         for song_id, reason in result.skipped:
             lines.append(f"skipped {song_id}: {reason}")

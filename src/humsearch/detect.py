@@ -107,7 +107,9 @@ def energy_detector(signal: Signal, window_length: int,
 
 def _magnitudes(spectrogram: Spectrogram) -> np.ndarray:
     if spectrogram.n_frames < 2:
-        raise ValueError("need at least 2 frames")
+        raise ValueError("signal too short for a spectral detector: need at "
+                         f"least 2 frames, got {spectrogram.n_frames} at "
+                         f"hop {spectrogram.hop}")
     return np.abs(spectrogram.frames)
 
 

@@ -331,18 +331,19 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
     (``window_length``, ``hop``, ``cutoff_hz``) are passed on to
     :func:`run_detector`, which fills in the detector's own defaults.
 
-    Each trial draws a fresh realization with :func:`synth_signal` from
-    a seed spawned from the master seed (so results do not depend on how
-    trials might be partitioned across workers), detects onsets, and
-    credits the frame(s) at which onsets were emitted.  The model's mean
-    is built once, on the first trial, and shared by all of them.
+    Trial i draws a fresh realization with :func:`synth_signal` from
+    ``SeedSequence(seed).spawn(trials)[i]``, derived as the trial starts
+    (so results do not depend on how trials might be partitioned across
+    workers), detects onsets, and credits the frame(s) at which onsets were
+    emitted.  The model's mean is built once, on the first trial, and
+    shared by all of them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     emitted = []
-    child_seeds = np.random.SeedSequence(seed).spawn(trials)
-    for child in child_seeds:
+    for i in range(trials):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
         signal = synth_signal(model, child)
         with np.errstate(over="ignore", invalid="ignore"):  # loud models
             series = run_detector(signal, detector_kind, **detector_options)

@@ -1,10 +1,12 @@
-"""Rank database songs against a query onset sequence."""
+"""Rank database songs against a query onset sequence; each ranked entry
+carries the song's :class:`.match.SimilarityResult` (score, alpha, beta and
+the matched count L) as ``correlative_match`` returned it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .match import correlative_match
+from .match import SimilarityResult, correlative_match
 from .peaks import OnsetSequence
 from .store import Database
 
@@ -15,9 +17,7 @@ __all__ = ["RankedEntry", "RankedResult", "rank"]
 class RankedEntry:
     song_id: str
     title: str
-    score: float
-    alpha: float
-    beta: float
+    match: SimilarityResult
     within_closeness: bool
 
 
@@ -37,10 +37,12 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
     flagged as credible alternatives.  Records that cannot be scored are
     skipped and reported, not fatal.
     """
+    if len(query) < 2:  # before the database, as a re-recording fixes it
+        raise ValueError(
+            "query produced fewer than 2 onsets; please re-record with "
+            "clearer rhythm")
     if len(db) == 0:
         raise ValueError("empty database")
-    if len(query) < 2:
-        raise ValueError("query needs at least 2 onsets")
     if top_k < 1:
         raise ValueError("top_k must be positive")
     if not closeness >= 0:  # NaN too
@@ -61,14 +63,7 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
     scored.sort(key=lambda pair: (-pair[1].score, pair[0].id))
     best = scored[0][1].score
     entries = tuple(
-        RankedEntry(
-            song_id=rec.id,
-            title=rec.title,
-            score=sim.score,
-            alpha=sim.alpha,
-            beta=sim.beta,
-            within_closeness=sim.score >= best - closeness,
-        )
+        RankedEntry(rec.id, rec.title, sim, sim.score >= best - closeness)
         for rec, sim in scored[:top_k]
     )
     return RankedResult(entries=entries, skipped=tuple(skipped))

@@ -29,10 +29,11 @@ from conftest import write_pcm_wav
 SR = 48000
 
 
-def click_train_wav(path, click_times, duration=4.0):
+def click_train_wav(path, click_times, duration=4.0, noise_sd=0.0):
     """Decaying 440 Hz bursts at the given onset times; the burst outlasts
     the analysis window so window energies fall off strictly and the energy
-    peak lands on the window starting at the onset."""
+    peak lands on the window starting at the onset.  ``noise_sd`` adds a
+    seeded white-noise floor."""
     samples = np.zeros(int(duration * SR))
     burst_len = 6000
     t = np.arange(burst_len) / SR
@@ -40,6 +41,8 @@ def click_train_wav(path, click_times, duration=4.0):
     for start_s in click_times:
         k = int(start_s * SR)
         samples[k: k + burst_len] += burst
+    if noise_sd:
+        samples += np.random.default_rng(0).normal(0.0, noise_sd, len(samples))
     return write_pcm_wav(path, samples, sample_rate=SR)
 
 
@@ -65,16 +68,29 @@ class TestCliEqualsLibrary:
 
     MODEL_ARGS = ["--length", "16384", "--onset-index", "8192"]
 
-    @pytest.mark.parametrize("kind", sorted(DETECTORS))
-    def test_detect_equals_library(self, kind, tmp_path, capsys):
-        path = click_train_wav(tmp_path / "clicks.wav", [0.5, 1.0, 1.6, 2.5])
+    @pytest.mark.parametrize("kind, flags, options", [
+        pytest.param(kind, flags, options, id=kind + suffix)
+        for kind in sorted(DETECTORS) for flags, options, suffix in (
+            ([], {}, ""),
+            (["--threshold", "mean"], {}, "-mean"),
+            (["--threshold", "q3"], {"threshold_rule": "third_quartile"},
+             "-q3"))])
+    def test_detect_equals_library(self, kind, flags, options, tmp_path,
+                                   capsys):
+        # over a noise floor, so that the two threshold rules differ
+        path = click_train_wav(tmp_path / "clicks.wav", [0.5, 1.0, 1.6, 2.5],
+                               noise_sd=0.01)
         name = DETECTORS[kind].cli_name
-        assert main(["detect", str(path), "--json", "--detector", name]) == 0
-        config = PeakConfig(neighbors=symmetric_neighbors(
-            DETECTORS[kind].neighbor_radius))
-        onsets = detect_peaks(run_detector(load_wav(path), kind), config)
+        assert main(["detect", str(path), "--json", "--detector", name]
+                    + flags) == 0
+        neighbors = symmetric_neighbors(DETECTORS[kind].neighbor_radius)
+        series = run_detector(load_wav(path), kind)
+        onsets = detect_peaks(series, PeakConfig(neighbors=neighbors,
+                                                 **options))
         assert len(onsets) >= 4
         assert capsys.readouterr().out == onsets.to_json() + "\n"
+        default = detect_peaks(series, PeakConfig(neighbors=neighbors))
+        assert np.array_equal(onsets.times, default.times) == (not options)
 
     @pytest.mark.parametrize("kind, flags, options", [
         pytest.param(kind, flags, options, id=kind + suffix)
@@ -122,7 +138,8 @@ class TestCliEqualsLibrary:
         assert len(got) == len(result.entries) == 5
         assert got == [
             {"rank": i + 1, "id": e.song_id, "title": e.title,
-             "score": e.score, "alpha": e.alpha, "beta": e.beta,
+             "score": e.match.score, "alpha": e.match.alpha,
+             "beta": e.match.beta,
              "close": e.within_closeness}
             for i, e in enumerate(result.entries)]
 
@@ -259,6 +276,17 @@ class TestDetect:
 
     def test_missing_wav_is_io_error(self, tmp_path, capsys):
         assert main(["detect", str(tmp_path / "absent.wav")]) == 3
+
+    def test_wav_too_short_for_a_spectral_detector(self, tmp_path, capsys):
+        # 1000 samples are one frame at the spectral detectors' hop
+        path = write_pcm_wav(tmp_path / "short.wav",
+                             0.1 * np.sin(np.arange(1000) / 5))
+        for name in ("sd", "dsd"):
+            assert main(["detect", str(path), "--detector", name]) == 2
+            assert capsys.readouterr() == (
+                "", "error: signal too short for a spectral detector: need "
+                "at least 2 frames, got 1 at hop 2048\n")
+        assert main(["detect", str(path), "--detector", "energy"]) == 0
 
     def test_garbage_wav_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.wav"
@@ -416,6 +444,23 @@ class TestSearch:
             assert capsys.readouterr().err == (
                 "error: query listing must be a JSON array of numbers or "
                 "one time per line\n")
+
+    def test_malformed_json_query_is_data_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", self.PATTERNS)
+        query = tmp_path / "query.json"
+        query.write_text("[1, 2")
+        assert main(["search", str(query), "--db", str(db)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_top_is_data_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", self.PATTERNS)
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps(self.PATTERNS["s02"]))
+        assert main(["search", str(query), "--db", str(db),
+                     "--top", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: top_k must be positive\n")
 
     def test_short_query_is_data_error(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", self.PATTERNS)
@@ -586,6 +631,11 @@ class TestPower:
         assert main(["power", "simulate", "--trials", "0"]) == 1
         assert capsys.readouterr().err == (
             "usage error: argument --trials: must be >= 1, got 0\n")
+
+    def test_simulate_non_integer_trials_usage_error(self, capsys):
+        assert main(["power", "simulate", "--trials", "abc"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --trials: invalid int value: 'abc'\n")
 
     def test_bound_nonpositive_offset_step_usage_error(self, tmp_path,
                                                        capsys):

@@ -39,9 +39,9 @@ class TestRank:
         query = seconds(np.asarray(PATTERNS["s03"], float) * 0.5 + 1.0)
         result = rank(db, query)
         assert result.entries[0].song_id == "s03"
-        assert result.entries[0].score == pytest.approx(1.0, rel=1e-12)
-        assert result.entries[0].beta == pytest.approx(0.5, rel=1e-9)
-        assert result.entries[0].alpha == pytest.approx(1.0, rel=1e-9)
+        assert result.entries[0].match.score == pytest.approx(1.0, rel=1e-12)
+        assert result.entries[0].match.beta == pytest.approx(0.5, rel=1e-9)
+        assert result.entries[0].match.alpha == pytest.approx(1.0, rel=1e-9)
 
     def test_ordering_matches_pairwise_recomputation(self):
         db = build_db()
@@ -53,7 +53,7 @@ class TestRank:
             key=lambda pair: (-pair[1], pair[0]),
         )
         assert [e.song_id for e in result.entries] == [sid for sid, _ in oracle]
-        assert [e.score for e in result.entries] == pytest.approx(
+        assert [e.match.score for e in result.entries] == pytest.approx(
             [s for _, s in oracle])
 
     def test_record_order_irrelevant(self):
@@ -63,7 +63,8 @@ class TestRank:
         a = rank(db, query, top_k=10)
         b = rank(shuffled, query, top_k=10)
         assert [e.song_id for e in a.entries] == [e.song_id for e in b.entries]
-        assert [e.score for e in a.entries] == [e.score for e in b.entries]
+        assert ([e.match.score for e in a.entries]
+                == [e.match.score for e in b.entries])
 
     def test_top_k_truncates(self):
         result = rank(build_db(), seconds([0.0, 0.5, 1.0, 1.5, 2.5]), top_k=3)
@@ -75,14 +76,14 @@ class TestRank:
         result = rank(db, query, top_k=10, closeness=0.05)
         assert result.entries[0].within_closeness
         flagged = [e for e in result.entries if e.within_closeness]
-        threshold = result.entries[0].score - 0.05
+        threshold = result.entries[0].match.score - 0.05
         for e in result.entries:
-            assert e.within_closeness == (e.score >= threshold)
+            assert e.within_closeness == (e.match.score >= threshold)
         assert len(flagged) >= 1
 
     def test_scores_non_increasing(self):
         result = rank(build_db(), seconds([0.1, 0.9, 2.2, 3.0]), top_k=10)
-        scores = [e.score for e in result.entries]
+        scores = [e.match.score for e in result.entries]
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_database_rejected(self):
@@ -90,8 +91,23 @@ class TestRank:
             rank(Database(records=()), seconds([0.0, 1.0]))
 
     def test_short_query_rejected(self):
-        with pytest.raises(ValueError):
-            rank(build_db(), seconds([0.0]))
+        # checked before the database, so an empty one gives the same error
+        for db in (build_db(), Database(records=())):
+            with pytest.raises(ValueError, match="re-record"):
+                rank(db, seconds([0.0]))
+
+    def test_entries_carry_each_songs_whole_match_result(self):
+        # the SimilarityResult that correlative_match gives for the song,
+        # matched count L included
+        db = build_db()
+        records = {rec.id: rec for rec in db.records}
+        query = seconds([0.0, 0.4, 1.3, 1.6, 2.9, 3.3])
+        result = rank(db, query, top_k=10)
+        assert len(result.entries) == len(db)
+        for e in result.entries:
+            assert e.match == correlative_match(
+                query, records[e.song_id].onsets_beats)
+            assert e.title == records[e.song_id].title
 
     @pytest.mark.parametrize("closeness", [-0.01, float("nan")])
     def test_negative_or_nan_closeness_rejected(self, closeness):
