@@ -95,12 +95,13 @@ def _decode_wav(data: bytes) -> Signal:
     offset = 12
     while offset + 8 <= len(data):
         chunk_id, size = struct.unpack_from("<4sI", data, offset)
-        body = view[offset + 8:offset + 8 + size]  # cut short at the end
-        offset += 8 + size + size % 2  # chunks are word-aligned
+        start = offset + 8
+        body = view[start:start + size]  # cut short at the end
+        offset = start + size + size % 2  # chunks are word-aligned
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":
-            payload = body
+            payload, payload_start = body, start
 
     if fmt is None or len(fmt) < 16:
         raise WavFormatError("missing fmt chunk")
@@ -133,8 +134,10 @@ def _decode_wav(data: bytes) -> Signal:
 
     if format_tag == _WAVE_FORMAT_PCM:
         # sample k is the top `width` bytes of the little-endian int32 that
-        # ends with it, so an arithmetic shift leaves its signed value
-        samples = np.ndarray(n, "<i4", bytes(4 - width) + payload,
+        # ends with it, so an arithmetic shift leaves its signed value; the
+        # low bytes come from the chunk header or the sample before, and the
+        # body starts at byte 20 or later, so the first int32 lies in `data`
+        samples = np.ndarray(n, "<i4", data, payload_start - (4 - width),
                              strides=(width,)) >> (32 - bits)
         if bits == 8:  # unsigned with midpoint 128: u - 128
             samples ^= -128
@@ -148,4 +151,7 @@ def _decode_wav(data: bytes) -> Signal:
     if channels == 2:  # an integer sum is exact: the float mean, bit for bit
         samples = samples[0::2] + samples[1::2]
         scale *= 2
-    return Signal(samples=samples / scale, sample_rate=int(sample_rate))
+    # integers take their one float64 copy here; floats divide in place
+    samples = np.divide(samples, scale,
+                        out=samples if samples.dtype == np.float64 else None)
+    return Signal(samples=samples, sample_rate=int(sample_rate))

@@ -131,9 +131,9 @@ def _load_query(path: str, args) -> peaks.OnsetSequence:
         text = fh.read()
     try:
         times = json.loads(text)
-    except json.JSONDecodeError:
+    except json.JSONDecodeError as exc:
         if text.lstrip().startswith(("[", "{")):
-            raise
+            raise ValueError(f"{path}: {exc}") from exc
         times = [float(token) for token in text.split()]
     except RecursionError:  # nested deeper than the decoder can follow
         times = None

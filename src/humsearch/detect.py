@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spectral
 from .audio import Signal
-from .spectral import Spectrogram, frame_signal, frame_times
+from .spectral import Spectrogram, frame_parts, frame_times
 
 __all__ = [
     "DetectionSeries",
@@ -93,9 +93,10 @@ class DetectionSeries:
 def energy_detector(signal: Signal, window_length: int,
                     hop: int) -> DetectionSeries:
     """Local energy per hopping window: ``T[n] = sum_i x[n*h + i]^2``."""
-    frames = frame_signal(signal.samples, window_length, hop)
-    values = np.einsum("ij,ij->i", frames, frames)
-    times = frame_times(len(frames), window_length, hop, signal.sample_rate)
+    values = np.concatenate([
+        np.einsum("ij,ij->i", frames, frames)
+        for frames in frame_parts(signal.samples, window_length, hop)])
+    times = frame_times(len(values), window_length, hop, signal.sample_rate)
     return DetectionSeries(
         values=values,
         times=times,

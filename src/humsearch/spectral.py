@@ -86,20 +86,28 @@ def frame_count(n_samples: int, hop: int) -> int:
     return max(1, -(-n_samples // hop))
 
 
-def frame_signal(samples: np.ndarray, window_length: int, hop: int) -> np.ndarray:
-    """Slice a signal into ``ceil(len/hop)`` frames of ``window_length``
-    samples starting at multiples of ``hop``, zero-padding past the end
-    (with ``hop > window_length`` the samples between frames are skipped)."""
+def frame_parts(samples: np.ndarray, window_length: int,
+                hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``frame_count`` frames of ``window_length`` samples starting at
+    multiples of ``hop`` (with ``hop > window_length`` the samples between
+    frames are skipped), in two parts: the frames wholly inside the signal,
+    a read-only view of ``samples``, then the rest, from a zero-padded copy
+    of the tail only."""
     if window_length < 1 or hop < 1:
         raise ValueError("window_length and hop must be >= 1")
     if len(samples) < 1:
         raise ValueError("empty signal")
     n = frame_count(len(samples), hop)
-    padded_len = max((n - 1) * hop + window_length, len(samples))
-    padded = np.zeros(padded_len, dtype=np.float64)
-    padded[: len(samples)] = samples
-    view = np.lib.stride_tricks.sliding_window_view(padded, window_length)
-    return view[::hop][:n]
+    inside = max(0, (len(samples) - window_length) // hop + 1)
+    step = samples.strides[0]
+    head = np.lib.stride_tricks.as_strided(
+        samples, (inside, window_length), (hop * step, step), writeable=False)
+    rest = samples[inside * hop:]
+    # one window at least, so that the view exists when no frame is left
+    tail = np.zeros((max(n - inside, 1) - 1) * hop + window_length)
+    tail[:len(rest)] = rest
+    view = np.lib.stride_tricks.sliding_window_view(tail, window_length)
+    return head, view[::hop][:n - inside]
 
 
 def frame_times(n_frames: int, window_length: int, hop: int,
@@ -121,16 +129,18 @@ def stft(signal: Signal, window_length: int, hop: int,
     Coefficients are the unnormalized window DFT (no 1/sqrt(w) factor), so
     with the cutoff at Nyquist, per frame
     ``|X_0|^2 + 2 sum_{0<k<w/2} |X_k|^2 + |X_{w/2}|^2 == w * sum_m x[m]^2``.
-    The tail is zero-padded so that frame times cover the full recording.
+    Frames that reach past the end read a zero-padded copy of the tail;
+    the others are read in place.
     """
     k = band_limit_bins(window_length, signal.sample_rate, cutoff_hz)
-    frames = frame_signal(signal.samples, window_length, hop)
-    coeffs = np.empty((len(frames), k), dtype=np.complex128)
+    head, tail = frame_parts(signal.samples, window_length, hop)
+    coeffs = np.empty((len(head) + len(tail), k), dtype=np.complex128)
     block = max(1, _BLOCK_BYTES // (16 * (window_length // 2 + 1)))
-    for start in range(0, len(frames), block):
-        coeffs[start:start + block] = np.fft.rfft(
-            frames[start:start + block], axis=1)[:, :k]
-    times = frame_times(len(frames), window_length, hop, signal.sample_rate)
+    for frames, out in zip((head, tail), np.split(coeffs, [len(head)])):
+        for start in range(0, len(frames), block):
+            out[start:start + block] = np.fft.rfft(
+                frames[start:start + block], axis=1)[:, :k]
+    times = frame_times(len(coeffs), window_length, hop, signal.sample_rate)
     return Spectrogram(
         frames=coeffs,
         window_length=window_length,

@@ -88,7 +88,7 @@ def db_load(path) -> Database:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise DatabaseError(f"parse error: {exc}") from exc
+            raise DatabaseError(f"parse error in {path}: {exc}") from exc
     if not isinstance(doc, list):
         raise DatabaseError("top-level document must be an array")
     return Database(records=tuple(

@@ -29,6 +29,10 @@ class TestSignal:
         with pytest.raises(ValueError):
             Signal(samples=np.array([0.0, np.nan]), sample_rate=1)
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Signal(samples=np.zeros((2, 2)), sample_rate=1)
+
 
 class TestLoadWav:
     def test_full_scale_16bit(self, tmp_path):
@@ -217,6 +221,42 @@ def decode_outcome(decode, data):
 # 24-bit extremes (most negative, most positive, +1 LSB, -1 LSB, zero) as
 # little-endian 3-byte words
 WORDS_24 = [0x800000, 0x7FFFFF, 0x000001, 0xFFFFFF, 0]
+
+
+class TestDecodeFromTheFileBytes:
+    """Integer PCM is read as int32 words that end with each sample; the
+    low bytes of the first word come from the chunk header before it."""
+
+    @staticmethod
+    def document(bits, channels, payload, declared_size):
+        # a chunk ending in 0xFF bytes, then a data chunk whose size field
+        # (the four bytes right before the first sample) may be all 0xFF:
+        # such a chunk is cut short at the end of the file
+        fmt = struct.pack("<HHIIHH", 1, channels, 48000, 0, 0, bits)
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"junk" + struct.pack("<I", 4) + b"\xff" * 4
+                + b"data" + struct.pack("<I", declared_size) + payload)
+        return b"RIFF" + struct.pack("<I", len(body)) + body
+
+    @pytest.mark.parametrize("declared", ["exact", 0xFFFFFFFF])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("bits", [8, 24])
+    def test_bytes_before_a_sample_never_leak(self, bits, channels,
+                                              declared):
+        if bits == 8:  # unsigned, midpoint 128
+            payload = bytes([0, 255, 127, 128, 1, 254])
+            values = (np.frombuffer(payload, np.uint8) - 128.0) / 128.0
+        else:
+            words = WORDS_24 + [0x7FFFFE]
+            payload = b"".join(w.to_bytes(3, "little") for w in words)
+            values = np.array([w - (1 << 24) * (w >> 23) for w in words],
+                              dtype=np.float64) / 2.0 ** 23
+        size = len(payload) if declared == "exact" else declared
+        data = self.document(bits, channels, payload, size)
+        signal = _decode_wav(data)
+        want = values if channels == 1 else values.reshape(-1, 2).mean(1)
+        assert np.array_equal(signal.samples, want)
+        assert np.array_equal(decode_wav_oracle(data).samples, want)
 
 
 class TestDecoderFuzz:

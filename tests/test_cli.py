@@ -452,7 +452,8 @@ class TestSearch:
         assert main(["search", str(query), "--db", str(db)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {query}: Expecting ")
+        assert err.count("\n") == 1
 
     def test_zero_top_is_data_error(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", self.PATTERNS)

@@ -135,6 +135,10 @@ class TestOnsetSequence:
         with pytest.raises(ValueError):
             OnsetSequence(times=[0.0], unit="minutes")
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            OnsetSequence(times=[[0.0, 1.0]])
+
 
 class TestThresholdValue:
     def test_mean_of_constant(self):
@@ -158,6 +162,14 @@ class TestThresholdValue:
     def test_singleton(self):
         assert threshold_value(series_of([5]), "mean_scaled") == 5.0
         assert threshold_value(series_of([5]), "third_quartile") == 5.0
+
+    @pytest.mark.parametrize("values, rule, message", [
+        ([], "mean_scaled", "empty series"),
+        ([1, 2], "median", "unknown threshold rule: median"),
+    ])
+    def test_rejected(self, values, rule, message):
+        with pytest.raises(ValueError, match=message):
+            threshold_value(series_of(values), rule)
 
 
 class TestDetectPeaks:

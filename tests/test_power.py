@@ -90,6 +90,8 @@ class TestOnsetModel:
             small_model(decay=-1.0)
         with pytest.raises(ValueError):
             small_model(onset_index=256)
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            small_model(sample_rate=0)
 
     @pytest.mark.parametrize("name, value", [
         ("amplitude", math.nan), ("noise_sd", math.nan), ("decay", math.nan),

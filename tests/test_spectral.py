@@ -7,6 +7,7 @@ from humsearch import spectral
 from humsearch.audio import Signal
 from humsearch.detect import (
     dominant_spectral_dissimilarity,
+    energy_detector,
     spectral_dissimilarity,
 )
 from humsearch.peaks import PeakConfig, detect_peaks, symmetric_neighbors
@@ -16,10 +17,12 @@ from humsearch.spectral import (
     band_limit_bins,
     dft,
     frame_count,
-    frame_signal,
+    frame_parts,
     frame_times,
     stft,
 )
+
+from conftest import frame_signal
 
 
 def naive_dft(x):
@@ -171,9 +174,9 @@ class TestStft:
         # frames start every hop samples; the samples between them are
         # skipped, and the signal may outrun the last frame
         sig = Signal(samples=np.arange(1.0, 1026.0), sample_rate=8000)
-        frames = frame_signal(sig.samples, 1024, 1025)
-        assert frames.shape == (1, 1024)
-        assert np.array_equal(frames[0], sig.samples[:1024])
+        head, tail = frame_parts(sig.samples, 1024, 1025)
+        assert head.shape == (1, 1024) and tail.shape == (0, 1024)
+        assert np.array_equal(head[0], sig.samples[:1024])
         assert stft(sig, 1024, 1025, 4000).n_frames == 1
 
     def test_non_power_of_two_window_rejected(self):
@@ -182,6 +185,63 @@ class TestStft:
             stft(sig, 1000, 100)
         with pytest.raises(ValueError):
             stft(sig, 1, 100)
+
+
+WINDOW = 64
+BLOCK = spectral._BLOCK_BYTES // (16 * (WINDOW // 2 + 1))
+# hop below, at and above the window; lengths around one window, around
+# a frame ending at the signal's end, and around one STFT block of frames
+FRAMING_CASES = [
+    (hop, length)
+    for hop in (16, WINDOW, 100)
+    for length in (1, WINDOW - 1, WINDOW, WINDOW + 1,
+                   5 * hop + WINDOW - 1, 5 * hop + WINDOW + 1,
+                   (BLOCK - 1) * hop, (BLOCK + 1) * hop)
+]
+
+
+class TestFrameParts:
+    """``frame_parts`` against ``frame_signal``, the padded framing it
+    replaced."""
+
+    @pytest.mark.parametrize("hop, length", FRAMING_CASES)
+    def test_parts_stack_to_the_padded_frames(self, hop, length, rng):
+        samples = rng.normal(size=length)
+        head, tail = frame_parts(samples, WINDOW, hop)
+        want = frame_signal(samples, WINDOW, hop)
+        assert np.array_equal(np.concatenate([head, tail]), want)
+        # the head is every frame that ends inside the signal, read in place
+        assert len(head) == sum(n * hop + WINDOW <= length
+                                for n in range(len(want)))
+        assert all(np.shares_memory(frame, samples) for frame in head)
+        assert not head.flags.writeable
+        assert not np.shares_memory(tail, samples)
+
+    @staticmethod
+    def assert_detectors_equal_the_padded_frames(signal, window, hop,
+                                                 cutoff):
+        frames = frame_signal(signal.samples, window, hop)
+        assert np.array_equal(energy_detector(signal, window, hop).values,
+                              np.einsum("ij,ij->i", frames, frames))
+        assert np.array_equal(stft(signal, window, hop, cutoff).frames,
+                              whole_rfft_stft(signal, window, hop, cutoff))
+
+    @pytest.mark.parametrize("hop, length", FRAMING_CASES)
+    def test_detectors_equal_the_padded_frames(self, hop, length, rng):
+        signal = Signal(samples=rng.normal(size=length), sample_rate=48000)
+        self.assert_detectors_equal_the_padded_frames(signal, WINDOW, hop,
+                                                      24000.0)
+
+    @pytest.mark.parametrize("hop", [512, 2048])
+    def test_detector_geometry_on_a_hum(self, hop):
+        self.assert_detectors_equal_the_padded_frames(
+            hum_signal(0, seconds=3.0), 4096, hop, 1000.0)
+
+    @pytest.mark.parametrize("window_length, hop", [(0, 1), (1, 0)])
+    def test_nonpositive_window_or_hop_rejected(self, window_length, hop):
+        with pytest.raises(ValueError,
+                           match="window_length and hop must be >= 1"):
+            frame_parts(np.ones(8), window_length, hop)
 
 
 class TestBandLimitBins:
@@ -206,6 +266,17 @@ class TestSpectrogram:
             Spectrogram(frames=np.zeros((2, 5), dtype=complex),
                         window_length=4, hop=2, sample_rate=8,
                         frame_times=np.array([0.25, 0.5]))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"hop": 0}, "hop must be >= 1"),
+        ({"frame_times": np.array([0.25])}, "frame_times length"),
+    ])
+    def test_rejected(self, fields, message):
+        valid = dict(frames=np.zeros((2, 3), dtype=complex), window_length=4,
+                     hop=2, sample_rate=8, frame_times=np.array([0.25, 0.5]))
+        Spectrogram(**valid)
+        with pytest.raises(ValueError, match=message):
+            Spectrogram(**{**valid, **fields})
 
 
 @st.composite

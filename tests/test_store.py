@@ -84,8 +84,9 @@ class TestDbLoad:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("[{")
-        with pytest.raises(DatabaseError, match="parse error"):
+        with pytest.raises(DatabaseError) as info:
             db_load(path)
+        assert str(info.value).startswith(f"parse error in {path}: ")
 
     def test_nested_too_deeply_to_decode(self, tmp_path):
         path = tmp_path / "db.json"
