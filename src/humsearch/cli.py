@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import get_args
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 _KIND_BY_NAME = {d.cli_name: kind for kind, d in detect.DETECTORS.items()}
-_THRESHOLD_RULES = {"mean": "mean_scaled", "q3": "third_quartile"}
 # power-model flags: (flag, OnsetModel.from_ssnr parameter, type)
 _MODEL_FLAGS = (
     ("--ssnr", "ssnr", float), ("--noise-var", "noise_variance", float),
@@ -56,9 +56,10 @@ _MODEL_FLAGS = (
 def _add_flag(parser: argparse.ArgumentParser, flag: str, dest: str,
               **kwargs) -> None:
     """A flag that sets the library parameter ``dest`` only when given, so
-    that the parameter's own default holds otherwise; its metavar follows
-    the flag's name, as argparse's own would."""
-    kwargs.setdefault("metavar", flag[2:].replace("-", "_").upper())
+    that the parameter's own default holds otherwise; its metavar lists
+    its choices or follows the flag's name, as argparse's own would."""
+    if "choices" not in kwargs:
+        kwargs.setdefault("metavar", flag[2:].replace("-", "_").upper())
     parser.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
 
 
@@ -93,8 +94,8 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
         default=detect.DETECTORS["spectral_dissimilarity"].cli_name,
         help="detection function")
     _add_frame_flags(parser)
-    parser.add_argument("--threshold", choices=sorted(_THRESHOLD_RULES),
-                        default=argparse.SUPPRESS)
+    _add_flag(parser, "--threshold", "threshold_rule",
+              choices=get_args(peaks.ThresholdRule))
     _add_flag(parser, "--threshold-scale", "threshold_scale", type=float)
     _add_flag(parser, "--min-gap", "min_gap", type=float,
               help="minimum onset separation in seconds")
@@ -105,9 +106,7 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
 def _peak_config(args, kind: detect.DetectorKind) -> peaks.PeakConfig:
     """Peak picking from the given flags, with the detector's own
     neighbor radius unless ``--neighbors`` is given."""
-    options = _given(args, "threshold_scale", "min_gap")
-    if hasattr(args, "threshold"):
-        options["threshold_rule"] = _THRESHOLD_RULES[args.threshold]
+    options = _given(args, "threshold_rule", "threshold_scale", "min_gap")
     radius = getattr(args, "neighbors",
                      detect.DETECTORS[kind].neighbor_radius)
     return peaks.PeakConfig(neighbors=peaks.symmetric_neighbors(radius),

@@ -3,11 +3,11 @@
 Subset matching pairs two sorted onset sequences by mutual nearest
 neighbors, classifying query onsets as true/false positives and reference
 onsets as detected/missed.  Correlative matching searches over anchor
-pairs defining an affine time map from reference beats to query seconds,
-scoring each candidate alignment by the Pearson correlation of the matched
-pairs times a penalty of L^2/(m*n) for unmatched onsets on either side.
-The reference is always the side that is mapped; the anchors sit on the
-longer side, so a short query pins its ends to two reference onsets.
+cells: an anchor pair on each side, (q[a], q[b]) <-> (r[c], r[d]), fixes
+the affine map from reference beats to query seconds that puts r[c], r[d]
+on q[a], q[b], and the alignment scores the Pearson correlation of the
+matched pairs times a penalty of L^2/(m*n) for unmatched onsets on either
+side.  The cells searched anchor the shorter side at its ends.
 
 One pairing rule serves both: ``subset_match`` runs it on one row, and
 the anchor search on every feasible cell of a song, listed once, flat and
@@ -100,26 +100,18 @@ def subset_match(query: OnsetSequence, reference: OnsetSequence) -> MatchResult:
 _CHUNK_CELLS = 1024
 
 
-def _anchor_map(q: np.ndarray, r: np.ndarray, i, j):
-    """The map s = alpha + beta * r of the anchor cell (i, j), for scalar
-    or array anchors; the anchors index the longer side.
-
-    A query at least as long as the reference puts the reference's ends
-    r[0], r[-1] on q[i], q[j]; a shorter query puts r[i], r[j] on its own
-    ends q[0], q[-1].
-    """
-    if len(q) >= len(r):
-        beta = (q[j] - q[i]) / (r[-1] - r[0])
-        return q[i] - beta * r[0], beta
-    beta = (q[-1] - q[0]) / (r[j] - r[i])
-    return q[0] - beta * r[i], beta
+def _anchor_map(q: np.ndarray, r: np.ndarray, a, b, c, d):
+    """The map s = alpha + beta * r of the anchor cell (q[a], q[b]) <->
+    (r[c], r[d]): it puts r[c] on q[a] and r[d] on q[b].  Each anchor is a
+    scalar or an array of one per cell."""
+    beta = (q[b] - q[a]) / (r[d] - r[c])
+    return q[a] - beta * r[c], beta
 
 
-def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
-                  jj: np.ndarray):
-    """Scores of the anchor cells (ii, jj), computed together, and their
-    matched counts L; the score is NaN for a cell whose mapped reference
-    is not a valid onset sequence.
+def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d):
+    """Scores of the anchor cells (q[a], q[b]) <-> (r[c], r[d]), computed
+    together, and their matched counts L; the score is NaN for a cell whose
+    mapped reference is not a valid onset sequence.
 
     The affine maps are bit for bit those of ``_anchor_map`` at one cell.
     Every sum runs along one C-contiguous row (a cell's reference onsets,
@@ -127,7 +119,7 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
     that share its chunk.
     """
     n, m = len(q), len(r)
-    alpha, beta = _anchor_map(q, r, ii, jj)
+    alpha, beta = _anchor_map(q, r, a, b, c, d)
     s = alpha[:, None] + beta[:, None] * r
     x, mutual = _mutual_nearest(q, s)
 
@@ -149,31 +141,35 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, ii: np.ndarray,
 
 
 def _correlative_core(q: np.ndarray, r: np.ndarray):
-    """Anchor-pair search over the cells of ``_anchor_map``; returns the
-    winning cell's score, alpha, beta and matched count.
-
-    With n, m the longer and shorter length, the anchors (i, j) index the
-    longer side; cells with j - i < m - 1 are geometrically infeasible and
-    never selected.  Arg-max ties break toward smallest i, then smallest j.
-    Cells whose score is not finite, or whose mapped reference overflows
-    or collapses, never win; a song with no other cell is rejected.
+    """Anchor-pair search over the cells that anchor the shorter side at
+    its ends; returns the winning cell's score, alpha, beta and matched
+    count.  The longer side's anchors (i, j) run row-major over the pairs
+    that span at least as many onsets as the shorter side has, and arg-max
+    ties break toward smallest i, then smallest j.  Cells whose score is
+    not finite, or whose mapped reference overflows or collapses, never
+    win; a song with no other cell is rejected.
     """
-    n, m = max(len(q), len(r)), min(len(q), len(r))
-    # cells j >= i + m - 1 in row-major order, as np.triu_indices(n, m - 1)
-    # lists them but from an (n - m + 1) x n mask, not n x n
-    ii, jj = np.nonzero(np.arange(n) >= np.arange(m - 1, n)[:, None])
+    n, m = len(q), len(r)
+    ends = (0, min(n, m) - 1)  # the shorter side's anchors
+    # the cells of np.triu_indices(max(n, m), ends[1]), from |n - m| + 1 rows
+    onsets = np.arange(max(n, m))
+    ii, jj = np.nonzero(onsets >= onsets[ends[1]:, None])
+
+    def anchors(k):  # (a, b, c, d) of the cells k
+        return (ii[k], jj[k], *ends) if n >= m else (*ends, ii[k], jj[k])
+
     scores = np.empty(len(ii))
     matched = np.empty(len(ii), dtype=np.int64)
     # overflow on huge onset times shows up as a non-finite score instead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for c in range(0, len(ii), _CHUNK_CELLS):
-            chunk = slice(c, c + _CHUNK_CELLS)
+        for start in range(0, len(ii), _CHUNK_CELLS):
+            chunk = slice(start, start + _CHUNK_CELLS)
             scores[chunk], matched[chunk] = _batch_scores(
-                q, r, ii[chunk], jj[chunk])
+                q, r, *anchors(chunk))
         best = int(np.argmax(np.where(np.isfinite(scores), scores, -np.inf)))
         if not np.isfinite(scores[best]):
             raise ValueError("no anchor cell gives a finite score")
-        alpha, beta = _anchor_map(q, r, ii[best], jj[best])
+        alpha, beta = _anchor_map(q, r, *anchors(best))
     return float(scores[best]), alpha, beta, int(matched[best])
 
 

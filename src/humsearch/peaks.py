@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -26,13 +26,13 @@ __all__ = [
     "symmetric_neighbors",
 ]
 
-ThresholdRule = Literal["mean_scaled", "third_quartile"]
+ThresholdRule = Literal["mean", "q3"]
 
 
 def symmetric_neighbors(r: int) -> tuple[int, ...]:
     """The neighbor offsets -r..-1, 1..r."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise ValueError(f"neighbor radius must be >= 1, got {r}")
     return tuple(range(-r, 0)) + tuple(range(1, r + 1))
 
 
@@ -46,7 +46,7 @@ class PeakConfig:
     """
 
     neighbors: tuple[int, ...]
-    threshold_rule: ThresholdRule = "mean_scaled"
+    threshold_rule: ThresholdRule = "mean"
     threshold_scale: float = 1.0
     min_gap: float = 0.1
 
@@ -54,7 +54,7 @@ class PeakConfig:
         neighbors = tuple(int(a) for a in self.neighbors)
         if not neighbors or any(a == 0 for a in neighbors):
             raise ValueError("neighbors must be non-empty and non-zero")
-        if self.threshold_rule not in ("mean_scaled", "third_quartile"):
+        if self.threshold_rule not in get_args(ThresholdRule):
             raise ValueError(f"unknown threshold rule: {self.threshold_rule}")
         if not self.threshold_scale > 0:  # NaN too
             raise ValueError("threshold_scale must be positive")
@@ -103,9 +103,9 @@ def threshold_value(series: DetectionSeries, rule: ThresholdRule,
     values = series.values
     if len(values) == 0:
         raise ValueError("empty series")
-    if rule == "mean_scaled":
+    if rule == "mean":
         return scale * float(np.mean(values))
-    if rule == "third_quartile":
+    if rule == "q3":
         return scale * float(np.quantile(values, 0.75))
     raise ValueError(f"unknown threshold rule: {rule}")
 

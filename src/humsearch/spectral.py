@@ -39,16 +39,16 @@ class Spectrogram:
     metadata.
 
     ``frames[n, k]`` is the unnormalized window-DFT coefficient of frame
-    ``n`` at frequency bin ``k`` (``k * sample_rate / window_length`` Hz)
-    for the K lowest bins, ``k = 0 .. K-1``.  Frame ``n`` covers the
-    sample range ``[n * hop, n * hop + window_length)`` and is stamped
-    with the time of the window center.
+    ``n`` at frequency bin ``k`` for the K lowest bins, ``k = 0 .. K-1``;
+    bin ``k`` is ``k * sample_rate / window_length`` Hz at the signal's
+    sample rate.  Frame ``n`` covers the sample range
+    ``[n * hop, n * hop + window_length)`` and is stamped with the time of
+    the window center.
     """
 
     frames: np.ndarray = field(repr=False)
     window_length: int
     hop: int
-    sample_rate: int
     frame_times: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -145,7 +145,6 @@ def stft(signal: Signal, window_length: int, hop: int,
         frames=coeffs,
         window_length=window_length,
         hop=hop,
-        sample_rate=signal.sample_rate,
         frame_times=times,
     )
 

@@ -73,8 +73,7 @@ class TestCliEqualsLibrary:
         for kind in sorted(DETECTORS) for flags, options, suffix in (
             ([], {}, ""),
             (["--threshold", "mean"], {}, "-mean"),
-            (["--threshold", "q3"], {"threshold_rule": "third_quartile"},
-             "-q3"))])
+            (["--threshold", "q3"], {"threshold_rule": "q3"}, "-q3"))])
     def test_detect_equals_library(self, kind, flags, options, tmp_path,
                                    capsys):
         # over a noise floor, so that the two threshold rules differ
@@ -161,7 +160,7 @@ class TestCliEqualsLibrary:
                 parser.parse_args(["--detector", name]), kind)
             assert config.neighbors == symmetric_neighbors(radius)
             assert (config.threshold_rule, config.threshold_scale,
-                    config.min_gap) == ("mean_scaled", 1.0, 0.1)
+                    config.min_gap) == ("mean", 1.0, 0.1)
             assert (DETECTORS[kind].hop, detect.WINDOW_LENGTH) == (hop, 4096)
 
     def test_defaults_come_from_the_detector_table(self, rng):
@@ -292,6 +291,12 @@ class TestDetect:
         path = tmp_path / "bad.wav"
         path.write_bytes(b"nope")
         assert main(["detect", str(path)]) == 2
+
+    def test_zero_neighbor_radius_is_data_error(self, tmp_path, capsys):
+        path = click_train_wav(tmp_path / "one.wav", [0.5], duration=1.5)
+        assert main(["detect", str(path), "--neighbors", "0"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: neighbor radius must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("flag, name", [
         ("--min-gap", "min_gap"), ("--threshold-scale", "threshold_scale")])
@@ -609,6 +614,15 @@ class TestPower:
                      "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {name} must be positive\n")
+        assert not out.exists()
+
+    def test_bound_zero_neighbor_radius_is_data_error(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["power", "bound", "--neighbors", "0", "--draws", "10",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: neighbor radius must be >= 1, got 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "detect"])

@@ -24,7 +24,7 @@ def make_spectrogram(mag_rows, w=4096, sr=48000, hop=2048):
         frames[n, : len(row)] = row
     times = (np.arange(len(mag_rows)) * hop + w / 2) / sr
     return Spectrogram(frames=frames, window_length=w, hop=hop,
-                       sample_rate=sr, frame_times=times)
+                       frame_times=times)
 
 
 class TestDetectionSeries:

@@ -1,3 +1,6 @@
+import importlib.util
+import itertools
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -115,6 +118,34 @@ def loop_correlative_core(q, r):
     return best
 
 
+def two_branch_anchor_map(q, r, i, j):
+    """The anchor map before a cell had an anchor pair on each side, kept
+    as its oracle: (i, j) index the longer side, whose onsets take the
+    shorter side's ends."""
+    if len(q) >= len(r):
+        beta = (q[j] - q[i]) / (r[-1] - r[0])
+        return q[i] - beta * r[0], beta
+    beta = (q[-1] - q[0]) / (r[j] - r[i])
+    return q[0] - beta * r[i], beta
+
+
+def end_anchored_cells(q, r):
+    """The longer side's anchors (ii, jj) of every cell that anchors the
+    shorter side at its ends, and a function giving a cell's (a, b, c, d)
+    from its (i, j)."""
+    n, m = max(len(q), len(r)), min(len(q), len(r))
+    ii, jj = np.triu_indices(n, m - 1)
+
+    def anchors(i, j):
+        return (i, j, 0, m - 1) if len(q) >= len(r) else (0, m - 1, i, j)
+
+    return ii, jj, anchors
+
+
+def bit_equal(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
 def swapped_correlative_match(query, reference):
     """The anchor search before it had a single direction, kept as its
     oracle: a query shorter than the reference swapped the roles, fitted
@@ -224,15 +255,39 @@ class TestBatchedAnchorSearch:
         # the batched score is the score: every cell's equals the oracle's
         # bit for bit, whichever cells share its chunk
         q, r = pair[0].times, pair[1].times
-        n, m = max(len(q), len(r)), min(len(q), len(r))
-        ii, jj = np.triu_indices(n, m - 1)
+        ii, jj, anchors = end_anchored_cells(q, r)
         scores, counts = (np.concatenate(parts) for parts in zip(*(
-            match._batch_scores(q, r, ii[c:c + chunk], jj[c:c + chunk])
+            match._batch_scores(q, r, *anchors(ii[c:c + chunk],
+                                               jj[c:c + chunk]))
             for c in range(0, len(ii), chunk))))
         want = list(loop_cells(q, r))
         assert np.array_equal(scores, [c[0] for c in want], equal_nan=True)
         # and so is L wherever the mapped reference is an onset sequence
         assert all(c[3] is None or c[3] == k for c, k in zip(want, counts))
+
+    def test_cell_count_is_the_benchmarks(self, rng):
+        # the benchmark's match.cells counter assumes (d+1)(d+2)/2 cells
+        # for d = |n - m|; a change to the cell set must change it too
+        spec = importlib.util.spec_from_file_location(
+            "tracing", Path(__file__).parents[1] / "bench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        batch_scores, scored = match._batch_scores, []
+
+        def counting(*args):
+            scores, counts = batch_scores(*args)
+            scored.append(len(scores))
+            return scores, counts
+
+        for n, m in itertools.product(range(2, 13), repeat=2):
+            q, r = (np.sort(rng.uniform(0, 10, k)) for k in (n, m))
+            scored.clear()
+            with mock.patch.object(match, "_batch_scores", counting), \
+                    mock.patch.object(match, "_CHUNK_CELLS", 7):
+                match._correlative_core(q, r)
+            d = abs(n - m)
+            assert sum(scored) == (d + 1) * (d + 2) // 2 == tracing._cells(
+                q, r)
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 1024])
     @pytest.mark.parametrize("length", [1, 5, 8, 77, 128, 129, 1000])
@@ -311,6 +366,42 @@ class TestBatchedAnchorSearch:
         # every mapped reference overflows or collapses, or its score does
         with pytest.raises(ValueError, match="no anchor cell gives a finite"):
             correlative_match(seq(query), seq(reference, unit="beats"))
+
+
+class TestAnchorMap:
+    """One formula maps every cell: an anchor pair on each side."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=tie_heavy_pair())
+    def test_equals_two_branch_map(self, pair):
+        # bit for bit on every end-anchored cell, scalar or batched, with
+        # the query longer and with it shorter
+        for q, r in ((pair[0].times, pair[1].times),
+                     (pair[1].times, pair[0].times)):
+            ii, jj, anchors = end_anchored_cells(q, r)
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                want = two_branch_anchor_map(q, r, ii, jj)
+                got = match._anchor_map(q, r, *anchors(ii, jj))
+                assert all(map(bit_equal, got, want))
+                for i, j in zip(ii, jj):
+                    got = match._anchor_map(q, r, *anchors(i, j))
+                    assert all(map(bit_equal, got,
+                                   two_branch_anchor_map(q, r, i, j)))
+
+    def test_interior_cell(self):
+        # no anchor at an end of either side; on dyadic times the map puts
+        # r[c] and r[d] exactly on q[a] and q[b]
+        q = np.array([0.0, 1.0, 1.75, 4.25, 6.0])
+        r = np.array([0.0, 0.5, 1.5, 2.5, 4.0])
+        a, b, c, d = 1, 3, 1, 3
+        alpha, beta = match._anchor_map(q, r, a, b, c, d)
+        assert (alpha, beta) == (0.1875, 1.625)
+        mapped = alpha + beta * r
+        assert (mapped[c], mapped[d]) == (q[a], q[b])
+        # and the kernel scores it as the loop oracle scores its map
+        scores, counts = match._batch_scores(q, r, np.array([a]), b, c, d)
+        assert (scores[0], counts[0]) == _cell_score(q, mapped)
 
 
 class TestSubsetMatch:

@@ -96,7 +96,7 @@ class TestPeakConfig:
         cfg = PeakConfig(neighbors=symmetric_neighbors(8))
         assert cfg.neighbors == symmetric_neighbors(8)
         assert (cfg.threshold_rule, cfg.threshold_scale, cfg.min_gap) == (
-            "mean_scaled", 1.0, 0.1)
+            "mean", 1.0, 0.1)
 
     def test_zero_neighbor_rejected(self):
         with pytest.raises(ValueError):
@@ -142,29 +142,29 @@ class TestOnsetSequence:
 
 class TestThresholdValue:
     def test_mean_of_constant(self):
-        assert threshold_value(series_of([1, 1, 1, 1]), "mean_scaled") == 1.0
+        assert threshold_value(series_of([1, 1, 1, 1]), "mean") == 1.0
 
     def test_mean_scale_applied(self):
-        assert threshold_value(series_of([2, 4]), "mean_scaled", 1.5) == 4.5
+        assert threshold_value(series_of([2, 4]), "mean", 1.5) == 4.5
 
     def test_third_quartile_interpolates(self):
         # sorted order statistics at fractional position 0.75*(len-1)
         assert threshold_value(series_of([0, 1, 2, 3]),
-                               "third_quartile") == pytest.approx(2.25)
+                               "q3") == pytest.approx(2.25)
         oracle = np.percentile([0, 1, 2, 3], 75)
         assert oracle == pytest.approx(2.25)
 
     def test_third_quartile_scale_applied(self):
         series = series_of([0, 1, 2, 3])
-        assert threshold_value(series, "third_quartile", 2.0) == (
-            2.0 * threshold_value(series, "third_quartile"))
+        assert threshold_value(series, "q3", 2.0) == (
+            2.0 * threshold_value(series, "q3"))
 
     def test_singleton(self):
-        assert threshold_value(series_of([5]), "mean_scaled") == 5.0
-        assert threshold_value(series_of([5]), "third_quartile") == 5.0
+        assert threshold_value(series_of([5]), "mean") == 5.0
+        assert threshold_value(series_of([5]), "q3") == 5.0
 
     @pytest.mark.parametrize("values, rule, message", [
-        ([], "mean_scaled", "empty series"),
+        ([], "mean", "empty series"),
         ([1, 2], "median", "unknown threshold rule: median"),
     ])
     def test_rejected(self, values, rule, message):
@@ -227,7 +227,7 @@ class TestDetectPeaks:
         values=st.lists(st.floats(0, 100, allow_nan=False), min_size=1,
                         max_size=60),
         radius=st.integers(1, 4),
-        rule=st.sampled_from(["mean_scaled", "third_quartile"]),
+        rule=st.sampled_from(["mean", "q3"]),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_hand_enumeration_oracle(self, values, radius, rule):
@@ -242,7 +242,7 @@ class TestDetectPeaks:
                         min_size=1, max_size=80),
         offsets=st.lists(st.integers(-90, 90).filter(bool), min_size=1,
                          max_size=5, unique=True),
-        rule=st.sampled_from(["mean_scaled", "third_quartile"]),
+        rule=st.sampled_from(["mean", "q3"]),
         scale=st.sampled_from([0.5, 1.0, 1.3]),
         dt=st.sampled_from([0.01, 0.03, 0.07, 0.1, 0.25]),
         min_gap=st.sampled_from([0.02, 0.1, 0.3]),

@@ -43,7 +43,6 @@ def oracle_stft(signal, window_length, hop, cutoff_hz=1000.0):
         frames=np.fft.fft(frames, axis=1)[:, :k],
         window_length=window_length,
         hop=hop,
-        sample_rate=signal.sample_rate,
         frame_times=frame_times(len(frames), window_length, hop,
                                 signal.sample_rate),
     )
@@ -264,7 +263,7 @@ class TestSpectrogram:
     def test_bins_above_nyquist_rejected(self):
         with pytest.raises(ValueError):
             Spectrogram(frames=np.zeros((2, 5), dtype=complex),
-                        window_length=4, hop=2, sample_rate=8,
+                        window_length=4, hop=2,
                         frame_times=np.array([0.25, 0.5]))
 
     @pytest.mark.parametrize("fields, message", [
@@ -273,7 +272,7 @@ class TestSpectrogram:
     ])
     def test_rejected(self, fields, message):
         valid = dict(frames=np.zeros((2, 3), dtype=complex), window_length=4,
-                     hop=2, sample_rate=8, frame_times=np.array([0.25, 0.5]))
+                     hop=2, frame_times=np.array([0.25, 0.5]))
         Spectrogram(**valid)
         with pytest.raises(ValueError, match=message):
             Spectrogram(**{**valid, **fields})
