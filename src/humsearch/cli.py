@@ -11,14 +11,17 @@ Exit codes: 0 success, 1 usage, 2 data/validation/memory, 3 I/O.
 
 A flag that sets a library parameter is stored under that parameter's
 name and passed on only when given, so every default lives in the
-library function or dataclass that uses it.
+library function or dataclass that uses it.  Results are printed as the
+library returns them, and records are checked by the store's own parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import sys
 from typing import get_args
 
@@ -161,9 +164,7 @@ def _cmd_search(args) -> int:
                 "rank": i + 1,
                 "id": e.song_id,
                 "title": e.title,
-                "score": e.match.score,
-                "alpha": e.match.alpha,
-                "beta": e.match.beta,
+                **dataclasses.asdict(e.match),
                 "close": e.within_closeness,
             }
             for i, e in enumerate(result.entries)
@@ -198,18 +199,12 @@ def _cmd_db(args) -> int:
         db = store.db_load(args.db)
     except FileNotFoundError:
         db = store.Database(records=())
-    times = np.asarray([float(x) for x in args.onsets.split(",")])
-    try:
-        record = store.SongRecord(
-            id=args.id,
-            title=args.title,
-            onsets_beats=peaks.OnsetSequence(times=times, unit="beats"),
-        )
-    except ValueError as exc:
-        raise store.DatabaseError(f"record {args.id!r}: {exc}") from exc
+    onsets = [float(x) for x in args.onsets.split(",")]
+    record = store.parse_record(
+        {"id": args.id, "title": args.title, "onsets_beats": onsets}, len(db))
     db = store.Database(records=db.records + (record,))
     store.db_save(db, args.db)
-    print(f"added {record.id} ({len(times)} onsets)")
+    print(f"added {record.id} ({len(record.onsets_beats)} onsets)")
     return EXIT_OK
 
 
@@ -220,7 +215,6 @@ def _cmd_power(args) -> int:
     if args.power_cmd == "bound":
         ssnr = getattr(args, "ssnr", power.REFERENCE_SSNR)
         threshold = ssnr * model.noise_sd ** 2
-        window_length = getattr(args, "window_length", detect.WINDOW_LENGTH)
         offsets = np.arange(args.offset_min, args.offset_max + 1,
                             args.offset_step)
         if len(offsets) == 0:
@@ -230,7 +224,7 @@ def _cmd_power(args) -> int:
             model, _peak_config(args, "energy"), threshold, offsets,
             **_given(args, "window_length", "hop", "draws", "seed"))
         p_noise = power.energy_tail_probability(
-            model, threshold, -10 * window_length, window_length)
+            model, threshold, -math.inf, **_given(args, "window_length"))
         fp_bound = power.false_positive_upper_bound(p_noise)
         summary = _region_summary(curve)
         print(f"lower bound >= 0.9 on offsets {summary}")

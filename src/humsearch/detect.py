@@ -11,8 +11,8 @@ statistics over a sliding window, designed to spike at note onsets:
 
 ``DETECTORS`` is the one table of per-detector defaults (CLI name, hop,
 peak-picking neighbor radius), beside the window all of them share,
-``WINDOW_LENGTH``; the band is :data:`.spectral.CUTOFF_HZ`.  Only
-:func:`run_detector` fills these in; the detectors take them as arguments.
+``WINDOW_LENGTH``; the band is :data:`.spectral.CUTOFF_HZ`.  Both
+:func:`run_detector` and the energy bound in :mod:`.power` read them.
 """
 
 from __future__ import annotations

@@ -215,14 +215,15 @@ def _range_ncp(model: OnsetModel, lo: float, hi: float) -> float:
 
 
 def energy_tail_probability(model: OnsetModel, threshold: float,
-                            offset: int,
+                            offset: float,
                             window_length: int = WINDOW_LENGTH) -> float:
     """P(T > threshold) for the energy statistic of the window starting
     ``offset`` samples after the onset.
 
     T / sigma^2 is chi-squared with ``window_length`` degrees of freedom
     and the noncentrality its samples [offset, offset + window_length)
-    accumulate: central for a window of noise alone.
+    accumulate: central for a window of noise alone, which is what an
+    ``offset`` of ``-math.inf`` gives whatever the window length.
     """
     # Local: only `power bound` needs scipy, and importing it at module
     # level cost every other command about 0.9 s.

@@ -57,8 +57,10 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
             skipped.append((rec.id, str(exc)))
             continue
         scored.append((rec, sim))
-    if not scored:
-        raise ValueError("no scorable records in database")
+    if not scored:  # the database is not empty, so a song was skipped
+        first_id, reason = skipped[0]
+        raise ValueError(f"no scorable records in database ({len(skipped)} "
+                         f"skipped; first {first_id!r}: {reason})")
 
     scored.sort(key=lambda pair: (-pair[1].score, pair[0].id))
     best = scored[0][1].score

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .peaks import OnsetSequence
 
 __all__ = ["SongRecord", "Database", "DatabaseError", "db_load", "db_save",
-           "is_number_array"]
+           "is_number_array", "parse_record"]
 
 
 class DatabaseError(ValueError):
@@ -61,7 +61,8 @@ def is_number_array(obj) -> bool:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
 
 
-def _parse_record(obj, index: int) -> SongRecord:
+def parse_record(obj, index: int) -> SongRecord:
+    """Check and build record ``index`` of a database from parsed JSON."""
     where = f"record #{index}"
     if not isinstance(obj, dict):
         raise DatabaseError(f"{where}: expected an object")
@@ -92,7 +93,7 @@ def db_load(path) -> Database:
     if not isinstance(doc, list):
         raise DatabaseError("top-level document must be an array")
     return Database(records=tuple(
-        _parse_record(obj, i) for i, obj in enumerate(doc)))
+        parse_record(obj, i) for i, obj in enumerate(doc)))
 
 
 def db_save(db: Database, path) -> None:

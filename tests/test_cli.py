@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from humsearch import cli, detect
 from humsearch.audio import Signal, load_wav
 from humsearch.cli import main
 from humsearch.detect import DETECTORS, run_detector
+from humsearch.match import SimilarityResult, subset_match
 from humsearch.peaks import (OnsetSequence, PeakConfig, detect_peaks,
                              symmetric_neighbors)
 from humsearch.power import (
@@ -138,9 +141,33 @@ class TestCliEqualsLibrary:
         assert got == [
             {"rank": i + 1, "id": e.song_id, "title": e.title,
              "score": e.match.score, "alpha": e.match.alpha,
-             "beta": e.match.beta,
+             "beta": e.match.beta, "matched": e.match.matched,
              "close": e.within_closeness}
             for i, e in enumerate(result.entries)]
+
+    def test_search_json_entry_is_the_whole_match_result(self, tmp_path,
+                                                         capsys):
+        # a field added to SimilarityResult reaches the JSON unasked, and
+        # "matched" is L, the pairs that subset_match finds under the map
+        rng = np.random.default_rng(7)
+        songs = {f"s{i}": np.cumsum(rng.integers(1, 4, size=8))
+                 for i in range(8)}
+        db = write_db(tmp_path / "db.json", songs)
+        query = tmp_path / "query.json"
+        times = OnsetSequence(times=[0.0, 0.5, 1.5, 2.0, 3.0, 3.5, 4.5])
+        query.write_text(times.to_json())
+        assert main(["search", str(query), "--db", str(db), "--json",
+                     "--top", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        keys = ["rank", "id", "title",
+                *(f.name for f in dataclasses.fields(SimilarityResult)),
+                "close"]
+        assert [list(entry) for entry in doc] == [keys] * len(songs)
+        for entry in doc:
+            mapped = entry["alpha"] + entry["beta"] * songs[entry["id"]]
+            assert entry["matched"] == len(subset_match(
+                times, OnsetSequence(times=mapped)).matched_entries)
+        assert {entry["matched"] for entry in doc} == {6, 7}
 
     @pytest.mark.parametrize("flags", [
         ["--detector", "sd"], ["--min-gap", "0.2"], ["--threshold", "q3"],
@@ -321,14 +348,40 @@ class TestDb:
         assert main(["db", "add", "--db", str(db), "--id", "s1",
                      "--title", "Bad", "--onsets", "3,1"]) == 2
         assert capsys.readouterr().err == (
-            "error: record 's1': onset times must be strictly increasing\n")
+            "error: record #0 ('s1'): onset times must be strictly "
+            "increasing\n")
 
     def test_add_one_onset_rejected(self, tmp_path, capsys):
         db = tmp_path / "db.json"
         assert main(["db", "add", "--db", str(db), "--id", "s1",
                      "--title", "Bad", "--onsets", "2"]) == 2
         assert capsys.readouterr().err == (
-            "error: record 's1': needs at least 2 onsets\n")
+            "error: record #0 ('s1'): needs at least 2 onsets\n")
+
+    @pytest.mark.parametrize("song_id, onsets", [
+        ("s1", "3,1"), ("s1", "2"), ("s1", "0,1,inf"), ("", "0,1")],
+        ids=["decreasing", "one onset", "non-finite", "empty id"])
+    def test_add_and_validate_word_a_bad_record_alike(self, song_id, onsets,
+                                                     tmp_path, capsys):
+        db = tmp_path / "db.json"
+        assert main(["db", "add", "--db", str(db), "--id", song_id,
+                     "--title", "Bad", "--onsets", onsets]) == 2
+        added = capsys.readouterr().err
+        assert not db.exists()
+        db.write_text(json.dumps([{
+            "id": song_id, "title": "Bad",
+            "onsets_beats": [float(x) for x in onsets.split(",")]}]))
+        assert main(["db", "validate", "--db", str(db)]) == 2
+        assert capsys.readouterr().err == added
+        assert added.startswith(f"error: record #0 ({song_id!r}): ")
+
+    def test_add_numbers_the_record_after_the_last(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", {"s1": [0, 1], "s2": [0, 2]})
+        assert main(["db", "add", "--db", str(db), "--id", "s3",
+                     "--title", "Bad", "--onsets", "1,1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: record #2 ('s3'): onset times must be strictly "
+            "increasing\n")
 
     def test_add_duplicate_id_rejected(self, tmp_path):
         db = tmp_path / "db.json"
@@ -430,6 +483,39 @@ class TestSearch:
         assert main(["search", str(query), "--db", str(db)]) == 0
         assert ("skipped s4: no anchor cell gives a finite score"
                 in capsys.readouterr().out)
+
+    def test_no_scorable_song_is_data_error(self, tmp_path, capsys):
+        # every anchor map of both songs overflows; the database is fine
+        db = write_db(tmp_path / "db.json",
+                      {"s1": [0, 1, 2, 4], "s2": [0, 2, 3, 5, 6]})
+        query = tmp_path / "query.json"
+        query.write_text("[1e300, 1.5e300, 1.7e308]")
+        assert main(["search", str(query), "--db", str(db)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: no scorable records in database (2 skipped; first "
+            "'s1': no anchor cell gives a finite score)\n"))
+
+    def test_reads_the_listing_detect_writes(self, tmp_path, capsys):
+        # clicks at beats 0, 2, 3 and 6 of song "s04", 0.5 s per beat
+        wav = click_train_wav(tmp_path / "hum.wav", [0.5, 1.5, 2.0, 3.5])
+        db = write_db(tmp_path / "db.json", {
+            **self.PATTERNS, "s04": [0, 2, 3, 6]})
+
+        def search(query, *flags):
+            assert main(["search", str(query), "--db", str(db),
+                         *flags]) == 0
+            return capsys.readouterr().out
+
+        listing = tmp_path / "q.json"
+        assert main(["detect", str(wav), "--json", "--out",
+                     str(listing)]) == 0
+        for flags in ([], ["--json"]):
+            assert search(listing, *flags) == search(wav, *flags)
+        text = tmp_path / "q.txt"
+        assert main(["detect", str(wav), "--out", str(text)]) == 0
+        ids = [e["id"] for e in json.loads(search(wav, "--json"))]
+        assert [e["id"] for e in json.loads(search(text, "--json"))] == ids
+        assert ids[0] == "s04"
 
     def test_json_object_query_is_data_error(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", self.PATTERNS)

@@ -273,6 +273,20 @@ class TestEnergyTailProbability:
         assert energy_tail_probability(model, threshold, offset) == (
             pytest.approx(ncx2.sf(4096 + exact, 4096, exact), rel=1e-9))
 
+    @pytest.mark.parametrize("window_length", [64, 2048, 4096])
+    def test_minus_infinity_offset_is_noise_alone(self, window_length):
+        # the window that `power bound` takes as noise-only; the threshold
+        # sits at the central statistic's mean, away from 0 and 1
+        model = OnsetModel.from_ssnr()
+        threshold = window_length * model.noise_sd ** 2
+        p = energy_tail_probability(model, threshold, -math.inf,
+                                    window_length)
+        assert p == energy_tail_probability(model, threshold,
+                                            -10 * window_length,
+                                            window_length)
+        assert p == pytest.approx(chi2.sf(window_length, window_length),
+                                  rel=1e-12)
+
     def test_monotone_decreasing_in_threshold(self):
         # weak-signal configuration keeps the tails away from 0 and 1
         model = small_model()

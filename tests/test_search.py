@@ -109,6 +109,14 @@ class TestRank:
                 query, records[e.song_id].onsets_beats)
             assert e.title == records[e.song_id].title
 
+    def test_no_scorable_song_names_the_first_skip(self):
+        # every song's anchor maps overflow on these onset times
+        with pytest.raises(ValueError) as info:
+            rank(build_db(), seconds([1e300, 1.5e300, 1.7e308]))
+        assert str(info.value) == (
+            "no scorable records in database (10 skipped; first 's01': no "
+            "anchor cell gives a finite score)")
+
     @pytest.mark.parametrize("closeness", [-0.01, float("nan")])
     def test_negative_or_nan_closeness_rejected(self, closeness):
         with pytest.raises(ValueError, match="closeness"):
