@@ -170,6 +170,8 @@ def _cmd_search(args) -> int:
             for i, e in enumerate(result.entries)
         ]
         _write_output(json.dumps(doc, indent=2) + "\n", args.out)
+        for song_id, reason in result.skipped:
+            print(f"skipped {song_id}: {reason}", file=sys.stderr)
     else:
         lines = [f"{'rank':>4}  {'id':<16} {'score':>7}  title"]
         for i, e in enumerate(result.entries):
@@ -199,7 +201,10 @@ def _cmd_db(args) -> int:
         db = store.db_load(args.db)
     except FileNotFoundError:
         db = store.Database(records=())
-    onsets = [float(x) for x in args.onsets.split(",")]
+    try:
+        onsets = [float(x) for x in args.onsets.split(",")]
+    except ValueError:  # not a number: the record check words it
+        onsets = args.onsets
     record = store.parse_record(
         {"id": args.id, "title": args.title, "onsets_beats": onsets}, len(db))
     db = store.Database(records=db.records + (record,))

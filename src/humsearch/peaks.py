@@ -77,9 +77,13 @@ class OnsetSequence:
             raise ValueError("onset times must be finite") from None
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("onset times must be finite")
-        if not np.all(times[1:] > times[:-1]):  # np.diff could overflow
+        # A strict rise (pairwise, as np.diff could overflow) from a first
+        # time above -inf to a last below +inf makes every time finite, as
+        # NaN fails every comparison; the finiteness scan words a rejection.
+        if len(times) and not (times[0] > -np.inf and times[-1] < np.inf
+                               and (times[1:] > times[:-1]).all()):
+            if not np.all(np.isfinite(times)):
+                raise ValueError("onset times must be finite")
             raise ValueError("onset times must be strictly increasing")
         if self.unit not in ("seconds", "beats"):
             raise ValueError(f"unknown unit: {self.unit}")

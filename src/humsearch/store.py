@@ -55,32 +55,31 @@ class Database:
 
 
 def is_number_array(obj) -> bool:
-    """Whether a parsed JSON value is an array of numbers.  JSON booleans
-    are not numbers, although Python's ``bool`` subclasses ``int``."""
-    return isinstance(obj, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
+    """Whether a parsed JSON value is an array of numbers.  The decoder
+    makes no subclasses, so the element types are compared exactly, which
+    also keeps out JSON booleans (Python's ``bool`` subclasses ``int``)."""
+    return isinstance(obj, list) and {type(x) for x in obj} <= {int, float}
 
 
 def parse_record(obj, index: int) -> SongRecord:
     """Check and build record ``index`` of a database from parsed JSON."""
-    where = f"record #{index}"
     if not isinstance(obj, dict):
-        raise DatabaseError(f"{where}: expected an object")
+        raise DatabaseError(f"record #{index}: expected an object")
     for key in ("id", "title", "onsets_beats"):
         if key not in obj:
-            raise DatabaseError(f"{where}: missing key {key!r}")
+            raise DatabaseError(f"record #{index}: missing key {key!r}")
     song_id = obj["id"]
     title = obj["title"]
     onsets = obj["onsets_beats"]
     if not isinstance(song_id, str) or not isinstance(title, str):
-        raise DatabaseError(f"{where}: id and title must be strings")
+        raise DatabaseError(f"record #{index}: id and title must be strings")
     try:
         if not is_number_array(onsets):
             raise DatabaseError("onsets_beats must be an array of numbers")
         return SongRecord(id=song_id, title=title, onsets_beats=OnsetSequence(
             times=onsets, unit="beats"))
     except ValueError as exc:
-        raise DatabaseError(f"{where} ({song_id!r}): {exc}") from exc
+        raise DatabaseError(f"record #{index} ({song_id!r}): {exc}") from exc
 
 
 def db_load(path) -> Database:
@@ -97,25 +96,28 @@ def db_load(path) -> Database:
 
 
 def db_save(db: Database, path) -> None:
-    """Write the database as pretty-printed JSON.
+    """Write the database in the layout of ``json.dump(doc, fh, indent=2,
+    ensure_ascii=False)`` followed by a newline.
 
-    The document is written to a temporary file beside ``path``, which
-    then replaces ``path`` in one step, so a write that fails part-way
-    leaves the old database as it was.
+    The document is built as one string: each id and title is encoded by
+    ``json.dumps`` and each onset by ``float.__repr__``, as the encoder
+    does for a finite float.  It is written to a temporary file beside
+    ``path``, which then replaces ``path`` in one step, so a write that
+    fails part-way leaves the old database as it was.
     """
-    doc = [
-        {
-            "id": rec.id,
-            "title": rec.title,
-            "onsets_beats": rec.onsets_beats.times.tolist(),
-        }
-        for rec in db.records
-    ]
+    entries = []
+    for rec in db.records:
+        onsets = ",\n      ".join(
+            map(float.__repr__, rec.onsets_beats.times.tolist()))
+        entries.append(
+            f'  {{\n    "id": {json.dumps(rec.id, ensure_ascii=False)},\n'
+            f'    "title": {json.dumps(rec.title, ensure_ascii=False)},\n'
+            f'    "onsets_beats": [\n      {onsets}\n    ]\n  }}')
+    text = "[\n" + ",\n".join(entries) + "\n]\n" if entries else "[]\n"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, ensure_ascii=False)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

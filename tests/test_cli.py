@@ -375,6 +375,17 @@ class TestDb:
         assert capsys.readouterr().err == added
         assert added.startswith(f"error: record #0 ({song_id!r}): ")
 
+    @pytest.mark.parametrize("onsets", ["a,b", "0,,1"])
+    def test_add_non_number_onsets_worded_as_validate(self, onsets, tmp_path,
+                                                      capsys):
+        db = tmp_path / "db.json"
+        assert main(["db", "add", "--db", str(db), "--id", "s1",
+                     "--title", "Bad", "--onsets", onsets]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: record #0 ('s1'): onsets_beats must be an array of "
+            "numbers\n"))
+        assert not db.exists()
+
     def test_add_numbers_the_record_after_the_last(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", {"s1": [0, 1], "s2": [0, 2]})
         assert main(["db", "add", "--db", str(db), "--id", "s3",
@@ -477,12 +488,14 @@ class TestSearch:
         query = tmp_path / "query.json"
         query.write_text("[0, 0.5, 1.5, 1e308]")
         assert main(["search", str(query), "--db", str(db), "--json"]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "NaN" not in out
         assert [e["id"] for e in json.loads(out)] == ["s3"]
+        assert err == "skipped s4: no anchor cell gives a finite score\n"
         assert main(["search", str(query), "--db", str(db)]) == 0
-        assert ("skipped s4: no anchor cell gives a finite score"
-                in capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        assert "skipped s4: no anchor cell gives a finite score" in out
+        assert err == ""
 
     def test_no_scorable_song_is_data_error(self, tmp_path, capsys):
         # every anchor map of both songs overflows; the database is fine

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from humsearch import cli, store
 from humsearch.peaks import OnsetSequence
 from humsearch.store import (
     Database,
@@ -12,6 +13,7 @@ from humsearch.store import (
     SongRecord,
     db_load,
     db_save,
+    parse_record,
 )
 
 from conftest import wide_range_times
@@ -171,15 +173,152 @@ class TestDbSave:
         db_save(Database(records=(record("old", [0, 1]),)), path)
         before = path.read_bytes()
 
-        def dump_then_fail(doc, fh, **kwargs):
-            fh.write('[\n  {"id": "new"')
-            raise OSError("No space left on device")
+        def open_with_failing_write(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            write = fh.write
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+            def write_then_fail(text):
+                write(text[:20])
+                raise OSError("No space left on device")
+
+            fh.write = write_then_fail
+            return fh
+
+        monkeypatch.setattr(store, "open", open_with_failing_write,
+                            raising=False)
         with pytest.raises(OSError, match="No space left"):
             db_save(Database(records=(record("new", [0, 2]),)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+
+
+# JSON string content the encoder must escape or pass through: quotes,
+# backslashes, control characters, non-ASCII and astral characters
+awkward_text = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f3b5')
+    | st.characters(exclude_categories=("Cs",)), max_size=6)
+# onsets drawn around the floats whose repr is easy to get wrong
+awkward_onsets = st.lists(
+    st.sampled_from([-0.0, 5e-324, 1e-07, 0.1, 1e16])
+    | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=2, max_size=6, unique=True).map(sorted)
+
+
+class TestDbSaveLayout:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("layout") / "db.json"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(awkward_text.filter(bool), awkward_text, awkward_onsets),
+        max_size=5, unique_by=lambda row: row[0]))
+    @example(rows=[])
+    def test_bytes_equal_the_json_encoder(self, path, rows):
+        db = Database(records=tuple(
+            SongRecord(id=song_id, title=title, onsets_beats=OnsetSequence(
+                times=np.asarray(onsets), unit="beats"))
+            for song_id, title, onsets in rows))
+        db_save(db, path)
+        doc = [{"id": rec.id, "title": rec.title,
+                "onsets_beats": rec.onsets_beats.times.tolist()}
+               for rec in db.records]
+        expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def is_number_array_oracle(obj):
+    """The element-wise check that ``store.is_number_array`` replaced."""
+    return isinstance(obj, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
+
+
+def onset_check_oracle(times):
+    """The two-scan check that ``OnsetSequence`` replaced: every time
+    finite, then every neighbour pair rising."""
+    try:
+        times = np.asarray(times, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("onset times must be finite") from None
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("onset times must be finite")
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError("onset times must be strictly increasing")
+
+
+def record_check_oracle(onsets):
+    """What record #0 ``'s'`` with these onsets gave before: the oracles
+    above in turn, then the two-onset minimum."""
+    if not is_number_array_oracle(onsets):
+        raise DatabaseError("onsets_beats must be an array of numbers")
+    onset_check_oracle(onsets)
+    if len(onsets) < 2:
+        raise DatabaseError("needs at least 2 onsets")
+
+
+def outcome(check, *args):
+    """``None`` when ``check`` accepts, else its exception type and text."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def bad_at(position, value):
+    times = [0.0, 1.0, 2.0, 3.0, 4.0]
+    times[position] = value
+    return times
+
+
+CHECK_CASES = {
+    **{f"{name} at {where}": bad_at(position, value)
+       for name, value in (("NaN", np.nan), ("+inf", np.inf),
+                           ("-inf", -np.inf))
+       for where, position in (("first", 0), ("middle", 2), ("last", -1))},
+    "equal neighbours": [0.0, 1.0, 1.0, 2.0],
+    "decreasing neighbours": [0.0, 2.0, 1.0, 3.0],
+    "no onsets": [],
+    "one onset": [1.0],
+    "2-D": [[0.0, 1.0], [2.0, 3.0]],
+    "bool item": [0, True, 2],
+    "integer beyond the float range": [0, 10 ** 400],
+    "valid": [0, 0.5, 2],
+}
+
+
+class TestRecordChecksMatchTheOracles:
+    @pytest.mark.parametrize("onsets", CHECK_CASES.values(), ids=CHECK_CASES)
+    def test_onset_sequence(self, onsets):
+        assert (outcome(OnsetSequence, onsets)
+                == outcome(onset_check_oracle, onsets))
+
+    @settings(max_examples=300, deadline=None)
+    @given(onsets=st.lists(st.floats() | st.integers() | st.booleans(),
+                           max_size=6).map(sorted)
+           | st.lists(st.floats() | st.integers(), max_size=6))
+    def test_onset_sequence_fuzz(self, onsets):
+        assert (outcome(OnsetSequence, onsets)
+                == outcome(onset_check_oracle, onsets))
+        assert store.is_number_array(onsets) == is_number_array_oracle(onsets)
+
+    @pytest.mark.parametrize("onsets", CHECK_CASES.values(), ids=CHECK_CASES)
+    def test_parse_record_and_db_validate(self, onsets, tmp_path, capsys):
+        expected = outcome(record_check_oracle, onsets)
+        if expected is not None:
+            expected = (DatabaseError, f"record #0 ('s'): {expected[1]}")
+        obj = {"id": "s", "title": "S", "onsets_beats": onsets}
+        assert outcome(parse_record, obj, 0) == expected
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps([obj]))
+        code = cli.main(["db", "validate", "--db", str(path)])
+        if expected is None:
+            assert (code, capsys.readouterr().err) == (0, "")
+        else:
+            assert (code, capsys.readouterr().err) == (
+                2, f"error: {expected[1]}\n")
 
 
 json_values = st.recursive(
