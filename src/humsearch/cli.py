@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from typing import get_args
 
@@ -40,7 +41,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures raise instead of exiting 2."""
+    """argparse variant whose usage failures raise instead of exiting 2,
+    and which takes an argument that starts like a negative number
+    (``-0.5,1``, ``-.5``, ``-1e3``) for a flag's value, not for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
@@ -136,7 +143,10 @@ def _load_query(path: str, args) -> peaks.OnsetSequence:
     except json.JSONDecodeError as exc:
         if text.lstrip().startswith(("[", "{")):
             raise ValueError(f"{path}: {exc}") from exc
-        times = [float(token) for token in text.split()]
+        try:
+            times = [float(token) for token in text.split()]
+        except ValueError:  # not a number: the listing check words it
+            times = None
     except RecursionError:  # nested deeper than the decoder can follow
         times = None
     if isinstance(times, (int, float)):  # a one-line listing

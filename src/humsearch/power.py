@@ -28,7 +28,6 @@ from .peaks import PeakConfig, detect_peaks
 __all__ = [
     "OnsetModel",
     "PowerCurve",
-    "BoundResult",
     "synth_signal",
     "noncentrality_integral",
     "energy_tail_probability",
@@ -138,14 +137,6 @@ class PowerCurve:
             raise ValueError("offsets, probabilities and stderrs must align")
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A probability estimate with its Monte Carlo standard error."""
-
-    probability: float
-    stderr: float
-
-
 def synth_signal(model: OnsetModel, seed: int) -> Signal:
     """Draw one realization of the model; deterministic given the seed.
 
@@ -250,16 +241,15 @@ def _neighbor_range(offset: int, gap: int, window_length: int):
     comparison.
 
     T[k] > T[k + gap] reduces, after cancelling the shared samples, to a
-    comparison of two disjoint sums of squares of min(|gap|, w) samples
-    each; returns (lo, hi, df), the onset-relative range [lo, hi) of the
-    sum belonging to the window at ``offset`` and its sample count.
+    comparison of two disjoint sums of squares of df = min(|gap|, w)
+    samples each: against a later neighbor (gap > 0) the emitted window
+    keeps its first df samples, against an earlier one its last df.
+    Returns (lo, hi, df), the onset-relative range [lo, hi) of the sum
+    belonging to the window at ``offset`` and its sample count.
     """
-    d, w = offset, window_length
-    if abs(gap) >= w:
-        return d, d + w, w
-    if gap > 0:
-        return d, d + gap, gap
-    return d + w + gap, d + w, -gap
+    df = min(abs(gap), window_length)
+    lo = offset if gap > 0 else offset + window_length - df
+    return lo, lo + df, df
 
 
 def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
@@ -267,8 +257,10 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
                              window_length: int = WINDOW_LENGTH,
                              hop: int = DETECTORS["energy"].hop,
                              draws: int = 100_000,
-                             seed: int = 0) -> BoundResult:
-    """Analytic lower bound on P(the window at ``offset`` is emitted).
+                             seed: int = 0) -> tuple[float, float]:
+    """Analytic lower bound on P(the window at ``offset`` is emitted),
+    returned with its Monte Carlo standard error as
+    ``(probability, stderr)``.
 
     Combines, via Boole-Frechet, the threshold-exceedance probability with
     one comparison probability per neighbor.  Each comparison
@@ -300,10 +292,7 @@ def energy_power_lower_bound(model: OnsetModel, peak_config: PeakConfig,
 
     p_alpha = energy_tail_probability(model, threshold, offset, window_length)
     bound = total + p_alpha - len(peak_config.neighbors)
-    return BoundResult(
-        probability=max(0.0, bound),
-        stderr=math.sqrt(var_sum),
-    )
+    return max(0.0, bound), math.sqrt(var_sum)
 
 
 def energy_power_curve(model: OnsetModel, peak_config: PeakConfig,
@@ -313,14 +302,11 @@ def energy_power_curve(model: OnsetModel, peak_config: PeakConfig,
     with seed ``seed + i`` at the i-th offset; ``bound_options``
     (``window_length``, ``hop``, ``draws``) are passed on to it."""
     offsets = np.asarray(offsets, dtype=np.int64)
-    probs = np.empty(len(offsets))
-    errs = np.empty(len(offsets))
-    for i, d in enumerate(offsets):
-        result = energy_power_lower_bound(
-            model, peak_config, threshold, int(d), seed=seed + i,
-            **bound_options)
-        probs[i] = result.probability
-        errs[i] = result.stderr
+    pairs = [energy_power_lower_bound(model, peak_config, threshold, int(d),
+                                      seed=seed + i, **bound_options)
+             for i, d in enumerate(offsets)]
+    # reshaped, so that an empty grid gives two empty arrays
+    probs, errs = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
     return PowerCurve(offsets=offsets, probabilities=probs, stderrs=errs)
 
 

@@ -80,24 +80,18 @@ def dft(x) -> np.ndarray:
     return np.fft.fft(x, norm="ortho")
 
 
-def frame_count(n_samples: int, hop: int) -> int:
-    """Number of analysis frames for a signal of ``n_samples``: ceil(n/hop),
-    at least 1."""
-    return max(1, -(-n_samples // hop))
-
-
 def frame_parts(samples: np.ndarray, window_length: int,
                 hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``frame_count`` frames of ``window_length`` samples starting at
-    multiples of ``hop`` (with ``hop > window_length`` the samples between
-    frames are skipped), in two parts: the frames wholly inside the signal,
-    a read-only view of ``samples``, then the rest, from a zero-padded copy
-    of the tail only."""
+    """The ``max(1, ceil(n / hop))`` frames of ``window_length`` samples
+    that start at multiples of ``hop`` in a signal of ``n`` samples (with
+    ``hop > window_length`` the samples between frames are skipped), in
+    two parts: the frames wholly inside the signal, a read-only view of
+    ``samples``, then the rest, from a zero-padded copy of the tail only."""
     if window_length < 1 or hop < 1:
         raise ValueError("window_length and hop must be >= 1")
     if len(samples) < 1:
         raise ValueError("empty signal")
-    n = frame_count(len(samples), hop)
+    n = max(1, -(-len(samples) // hop))
     inside = max(0, (len(samples) - window_length) // hop + 1)
     step = samples.strides[0]
     head = np.lib.stride_tricks.as_strided(

@@ -74,10 +74,15 @@ def parse_record(obj, index: int) -> SongRecord:
     if not isinstance(song_id, str) or not isinstance(title, str):
         raise DatabaseError(f"record #{index}: id and title must be strings")
     try:
+        song_id.encode()  # db_save writes UTF-8, which has no surrogates
+        title.encode()
         if not is_number_array(onsets):
             raise DatabaseError("onsets_beats must be an array of numbers")
         return SongRecord(id=song_id, title=title, onsets_beats=OnsetSequence(
             times=onsets, unit="beats"))
+    except UnicodeEncodeError:
+        raise DatabaseError(f"record #{index} ({song_id!r}): id and title "
+                            "must be valid UTF-8") from None
     except ValueError as exc:
         raise DatabaseError(f"record #{index} ({song_id!r}): {exc}") from exc
 

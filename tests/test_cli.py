@@ -359,8 +359,10 @@ class TestDb:
             "error: record #0 ('s1'): needs at least 2 onsets\n")
 
     @pytest.mark.parametrize("song_id, onsets", [
-        ("s1", "3,1"), ("s1", "2"), ("s1", "0,1,inf"), ("", "0,1")],
-        ids=["decreasing", "one onset", "non-finite", "empty id"])
+        ("s1", "3,1"), ("s1", "2"), ("s1", "0,1,inf"), ("", "0,1"),
+        ("s\ud800", "0,1")],
+        ids=["decreasing", "one onset", "non-finite", "empty id",
+             "id not UTF-8"])
     def test_add_and_validate_word_a_bad_record_alike(self, song_id, onsets,
                                                      tmp_path, capsys):
         db = tmp_path / "db.json"
@@ -385,6 +387,47 @@ class TestDb:
             "error: record #0 ('s1'): onsets_beats must be an array of "
             "numbers\n"))
         assert not db.exists()
+
+    @pytest.mark.parametrize("onsets, beats", [
+        ("-0.5,1", [-0.5, 1.0]), ("-.5,1", [-0.5, 1.0]),
+        ("-1e3,0", [-1000.0, 0.0])])
+    def test_add_negative_first_onset(self, onsets, beats, tmp_path, capsys):
+        # argparse would otherwise take "-0.5,1" for a flag
+        db = tmp_path / "db.json"
+        assert main(["db", "add", "--db", str(db), "--id", "s1",
+                     "--title", "T", "--onsets", onsets]) == 0
+        assert capsys.readouterr() == ("added s1 (2 onsets)\n", "")
+        assert db_load(db).records[0].onsets_beats.times.tolist() == beats
+
+    @pytest.mark.parametrize("tail", [["-x"], []], ids=["flag", "no value"])
+    def test_add_onsets_without_a_value_is_usage_error(self, tail, tmp_path,
+                                                       capsys):
+        db = tmp_path / "db.json"
+        assert main(["db", "add", "--db", str(db), "--id", "s1",
+                     "--title", "T", "--onsets", *tail]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: argument --onsets: expected one argument")
+        assert not db.exists()
+
+    def test_add_id_that_utf8_cannot_encode_leaves_db(self, tmp_path,
+                                                      capsys):
+        # "s\udcff" is how Python decodes the argv bytes b"s\xff"
+        db = write_db(tmp_path / "db.json", {"s1": [0, 1]})
+        before = db.read_bytes()
+        assert main(["db", "add", "--db", str(db), "--id", "s\udcff",
+                     "--title", "T", "--onsets", "0,1"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: record #1 ('s\\udcff'): id and title must be valid "
+            "UTF-8\n"))
+        assert db.read_bytes() == before
+
+    def test_validate_title_that_utf8_cannot_encode(self, tmp_path, capsys):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps([{"id": "s1", "title": "T\udfff",
+                                   "onsets_beats": [0, 1, 2]}]))
+        assert main(["db", "validate", "--db", str(db)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: record #0 ('s1'): id and title must be valid UTF-8\n"))
 
     def test_add_numbers_the_record_after_the_last(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", {"s1": [0, 1], "s2": [0, 2]})
@@ -549,6 +592,15 @@ class TestSearch:
                 "error: query listing must be a JSON array of numbers or "
                 "one time per line\n")
 
+    def test_non_number_line_is_data_error(self, tmp_path, capsys):
+        db = write_db(tmp_path / "db.json", self.PATTERNS)
+        query = tmp_path / "q.txt"
+        query.write_text("0.5\n1.0\nabc\n")
+        assert main(["search", str(query), "--db", str(db)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: query listing must be a JSON array of numbers or one "
+            "time per line\n"))
+
     def test_malformed_json_query_is_data_error(self, tmp_path, capsys):
         db = write_db(tmp_path / "db.json", self.PATTERNS)
         query = tmp_path / "query.json"
@@ -626,7 +678,7 @@ class TestModelFlagFuzz:
     @example(values={"--ssnr": 1e308, "--noise-var": 1e308})  # detector
     @example(values={"--decay": 1e-320, "--freq": 1e-320})  # a^2 + b^2 == 0
     def test_power_ends_in_exit_0_or_2(self, values):
-        # "--flag=value", since argparse takes "-inf" or "-1e308" for a flag
+        # "--flag=value", since argparse takes "-inf" for a flag
         flags = [f"{flag}={value!r}" for flag, value in values.items()
                  if value is not None]
         for command in self.COMMANDS:
@@ -740,6 +792,12 @@ class TestPower:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "allocate" in err
+
+    def test_negative_model_value_reaches_the_model(self, capsys):
+        # a value, not a flag, though it starts with "-"
+        assert main(["power", "bound", "--decay", "-1e3"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: decay must be non-negative and finite\n")
 
     def test_simulate_zero_trials_usage_error(self, capsys):
         assert main(["power", "simulate", "--trials", "0"]) == 1

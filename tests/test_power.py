@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chi2, ncx2
 
+from humsearch import power
 from humsearch.detect import DETECTORS, run_detector
 from humsearch.peaks import PeakConfig, detect_peaks, symmetric_neighbors
 from humsearch.power import (
@@ -15,6 +16,7 @@ from humsearch.power import (
     REFERENCE_SSNR,
     OnsetModel,
     PowerCurve,
+    energy_power_curve,
     energy_power_lower_bound,
     energy_tail_probability,
     false_positive_upper_bound,
@@ -317,18 +319,18 @@ class TestEnergyPowerLowerBound:
         model = OnsetModel.from_ssnr()
         sigma2 = model.noise_sd ** 2
         cfg = PeakConfig(neighbors=symmetric_neighbors(8))
-        result = energy_power_lower_bound(
+        probability, _ = energy_power_lower_bound(
             model, cfg, 4096.0 * sigma2, -20_000, draws=5000)
-        assert result.probability == 0.0
+        assert probability == 0.0
 
     def test_high_at_onset(self):
         model = OnsetModel.from_ssnr()
         sigma2 = model.noise_sd ** 2
         cfg = PeakConfig(neighbors=symmetric_neighbors(8))
-        result = energy_power_lower_bound(
+        probability, stderr = energy_power_lower_bound(
             model, cfg, 5000.0 * sigma2, 0, draws=20_000)
-        assert result.probability > 0.9
-        assert result.stderr < 0.01
+        assert probability > 0.9
+        assert stderr < 0.01
 
     def test_deterministic_given_seed(self):
         model = OnsetModel.from_ssnr()
@@ -349,6 +351,46 @@ class TestEnergyPowerLowerBound:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             energy_power_lower_bound(OnsetModel.from_ssnr(), cfg, 1.0, 0,
                                      **{name: value})
+
+
+def neighbor_range_oracle(offset, gap, window_length):
+    """The three-branch range that ``power._neighbor_range`` replaced."""
+    d, w = offset, window_length
+    if abs(gap) >= w:
+        return d, d + w, w
+    if gap > 0:
+        return d, d + gap, gap
+    return d + w + gap, d + w, -gap
+
+
+class TestNeighborRange:
+    # every window up to 256, then odd and even ones up to 4096
+    WINDOWS = [*range(1, 257), 383, 511, 512, 513, 1000, 1023, 1024, 1025,
+               2047, 2048, 2049, 3001, 4095, 4096]
+
+    @pytest.mark.parametrize("offset", [-5000, -1, 0, 1, 3000])
+    def test_equals_the_three_branch_oracle(self, offset):
+        for w in self.WINDOWS:
+            for gap in (*range(-3 * w, 0), *range(1, 3 * w + 1)):
+                assert (power._neighbor_range(offset, gap, w)
+                        == neighbor_range_oracle(offset, gap, w)), (gap, w)
+
+
+class TestEnergyPowerCurve:
+    @pytest.mark.parametrize("offsets", [
+        [-2048, -128, 0, 128, 640, 4096], []], ids=["grid", "empty"])
+    def test_equals_a_loop_over_the_bound(self, offsets):
+        model = OnsetModel.from_ssnr()
+        cfg = PeakConfig(neighbors=symmetric_neighbors(2))
+        threshold = 5000.0 * model.noise_sd ** 2
+        curve = energy_power_curve(model, cfg, threshold, offsets, seed=7,
+                                   draws=500, hop=256)
+        pairs = [energy_power_lower_bound(model, cfg, threshold, d,
+                                          seed=7 + i, draws=500, hop=256)
+                 for i, d in enumerate(offsets)]
+        assert curve.offsets.tolist() == offsets
+        assert curve.probabilities.tolist() == [p for p, _ in pairs]
+        assert curve.stderrs.tolist() == [err for _, err in pairs]
 
 
 class TestMonteCarloPower:
