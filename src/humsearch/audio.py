@@ -13,20 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Signal",
-    "WavFormatError",
-    "EmptyAudioError",
-    "load_wav",
-]
-
-
-class WavFormatError(ValueError):
-    """The file is readable but is not a supported PCM WAV."""
-
-
-class EmptyAudioError(ValueError):
-    """The WAV decodes to zero audio frames."""
+__all__ = ["Signal", "load_wav"]
 
 
 @dataclass(frozen=True)
@@ -76,10 +63,8 @@ def load_wav(path) -> Signal:
     ------
     OSError
         If the file cannot be read.
-    WavFormatError
-        If the file is not a supported PCM WAV.
-    EmptyAudioError
-        If the file contains no audio frames.
+    ValueError
+        If the file is not a supported PCM WAV or has no audio frames.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -88,7 +73,7 @@ def load_wav(path) -> Signal:
 
 def _decode_wav(data: bytes) -> Signal:
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError("not a RIFF/WAVE file")
+        raise ValueError("not a RIFF/WAVE file")
 
     fmt = payload = None
     view = memoryview(data)
@@ -104,9 +89,9 @@ def _decode_wav(data: bytes) -> Signal:
             payload, payload_start = body, start
 
     if fmt is None or len(fmt) < 16:
-        raise WavFormatError("missing fmt chunk")
+        raise ValueError("missing fmt chunk")
     if payload is None:
-        raise WavFormatError("missing data chunk")
+        raise ValueError("missing data chunk")
 
     (format_tag, channels, sample_rate, _byte_rate, _block_align,
      bits) = struct.unpack_from("<HHIIHH", fmt)
@@ -116,20 +101,19 @@ def _decode_wav(data: bytes) -> Signal:
 
     if format_tag == _WAVE_FORMAT_PCM:
         if bits not in (8, 16, 24):
-            raise WavFormatError(f"unsupported PCM bit depth: {bits}")
+            raise ValueError(f"unsupported PCM bit depth: {bits}")
     elif format_tag == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
-            raise WavFormatError(f"unsupported float bit depth: {bits}")
+            raise ValueError(f"unsupported float bit depth: {bits}")
     else:
-        raise WavFormatError(
-            f"non-PCM encoding (format tag 0x{format_tag:04x})")
+        raise ValueError(f"non-PCM encoding (format tag 0x{format_tag:04x})")
     if channels not in (1, 2):
-        raise WavFormatError(f"unsupported channel count: {channels}")
+        raise ValueError(f"unsupported channel count: {channels}")
 
     width = bits // 8
     n_frames = len(payload) // (width * channels)
     if n_frames == 0:
-        raise EmptyAudioError("zero-length audio")
+        raise ValueError("zero-length audio")
     n = n_frames * channels
 
     if format_tag == _WAVE_FORMAT_PCM:

@@ -43,11 +43,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures raise instead of exiting 2,
     and which takes an argument that starts like a negative number
-    (``-0.5,1``, ``-.5``, ``-1e3``) for a flag's value, not for a flag."""
+    (``-0.5,1``, ``-.5``, ``-1e3``, ``-inf``, ``-NaN``) for a flag's value,
+    not for a flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
 
     def error(self, message):
         raise UsageError(message)
@@ -349,7 +350,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, MemoryError) as exc:  # an array the host refuses
+    # an integer beyond int64, or an array the host refuses
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -111,24 +111,30 @@ def _magnitudes(spectrogram: Spectrogram) -> np.ndarray:
         raise ValueError("signal too short for a spectral detector: need at "
                          f"least 2 frames, got {spectrogram.n_frames} at "
                          f"hop {spectrogram.hop}")
-    return np.abs(spectrogram.frames)
+    return spectrogram.frames
+
+
+def _spectral_series(spectrogram: Spectrogram, rises: np.ndarray,
+                     kind: DetectorKind) -> DetectionSeries:
+    """T[0] = 0, then the ``rises`` between consecutive frames, on the
+    spectrogram's frame grid."""
+    return DetectionSeries(
+        values=np.concatenate([[0.0], rises]),
+        times=spectrogram.frame_times,
+        hop=spectrogram.hop,
+        window_length=spectrogram.window_length,
+        detector_kind=kind,
+    )
 
 
 def spectral_dissimilarity(spectrogram: Spectrogram) -> DetectionSeries:
     """Sum of positive bin-magnitude increases between consecutive frames,
     over every bin of the (band-limited) spectrogram.  T[0] is defined as
     0."""
-    mags = _magnitudes(spectrogram)
-    diffs = np.diff(mags, axis=0)
-    values = np.where(diffs > 0, diffs, 0.0).sum(axis=1)
-    values = np.concatenate([[0.0], values])
-    return DetectionSeries(
-        values=values,
-        times=spectrogram.frame_times,
-        hop=spectrogram.hop,
-        window_length=spectrogram.window_length,
-        detector_kind="spectral_dissimilarity",
-    )
+    diffs = np.diff(_magnitudes(spectrogram), axis=0)
+    return _spectral_series(spectrogram,
+                            np.where(diffs > 0, diffs, 0.0).sum(axis=1),
+                            "spectral_dissimilarity")
 
 
 def dominant_spectral_dissimilarity(
@@ -136,18 +142,11 @@ def dominant_spectral_dissimilarity(
     """Positive increase of the squared dominant bin magnitude between
     consecutive frames, over every bin of the (band-limited) spectrogram.
     T[0] is 0."""
-    mags = _magnitudes(spectrogram)
-    dominant = mags.max(axis=1)
+    dominant = _magnitudes(spectrogram).max(axis=1)
     rises = dominant[1:] > dominant[:-1]
     diffs = dominant[1:] ** 2 - dominant[:-1] ** 2
-    values = np.concatenate([[0.0], np.where(rises, diffs, 0.0)])
-    return DetectionSeries(
-        values=values,
-        times=spectrogram.frame_times,
-        hop=spectrogram.hop,
-        window_length=spectrogram.window_length,
-        detector_kind="dominant_spectral_dissimilarity",
-    )
+    return _spectral_series(spectrogram, np.where(rises, diffs, 0.0),
+                            "dominant_spectral_dissimilarity")
 
 
 def run_detector(signal: Signal, kind: DetectorKind,

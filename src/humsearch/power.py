@@ -101,13 +101,10 @@ class OnsetModel:
             length=length,
         )
 
+    @functools.cached_property
     def mean_sequence(self) -> np.ndarray:
         """Deterministic mean of each sample: one read-only array per
-        model, built on the first call."""
-        return self._means
-
-    @functools.cached_property
-    def _means(self) -> np.ndarray:
+        model, built on first access."""
         # kept in the instance __dict__, so equality, hashing and
         # dataclasses.replace see only the fields
         means = np.zeros(self.length)
@@ -123,7 +120,12 @@ class OnsetModel:
 @dataclass(frozen=True)
 class PowerCurve:
     """Per-offset probability that an onset is emitted at that offset,
-    with the standard error of each estimate."""
+    with the standard error of each estimate.
+
+    An offset is in samples from the onset, measured at the window's
+    start by the energy bound and at the frame's centre by
+    :func:`monte_carlo_power`, so the two curves sit half a window apart.
+    """
 
     offsets: np.ndarray = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
@@ -147,7 +149,7 @@ def synth_signal(model: OnsetModel, seed: int) -> Signal:
     """
     samples = np.random.default_rng(seed).standard_normal(model.length)
     samples *= model.noise_sd
-    samples += model.mean_sequence()
+    samples += model.mean_sequence
     return Signal(samples=samples, sample_rate=model.sample_rate)
 
 
@@ -219,6 +221,8 @@ def energy_tail_probability(model: OnsetModel, threshold: float,
     # Local: only `power bound` needs scipy, and importing it at module
     # level cost every other command about 0.9 s.
     from scipy.stats import ncx2
+    if window_length >= 2 ** 63:  # degrees of freedom that ncx2 cannot take
+        raise ValueError("window_length is out of range for the energy bound")
     ncp = _range_ncp(model, offset, offset + window_length)
     tail = float(ncx2.sf(threshold / model.noise_sd ** 2, window_length, ncp))
     if math.isnan(tail):  # ncx2.sf past a noncentrality of about 1e19
@@ -322,7 +326,9 @@ def monte_carlo_power(model: OnsetModel, detector_kind: DetectorKind,
     ``SeedSequence(seed).spawn(trials)[i]``, derived as the trial starts
     (so results do not depend on how trials might be partitioned across
     workers), detects onsets, and credits the frame(s) at which onsets were
-    emitted.  The model's mean is built once, on the first trial, and
+    emitted.  A frame's offset is its centre minus the onset sample, half a
+    window later than the window start that :func:`energy_power_curve`
+    measures.  The model's mean is built once, on the first trial, and
     shared by all of them.
     """
     if trials < 1:

@@ -2,11 +2,12 @@
 
 The DFT here is unitary (1/sqrt(N) scaling) so that Parseval's identity
 holds exactly: ``norm(dft(x)) == norm(x)``.  The short-time transform used
-by the spectral detection functions is the plain unnormalized window DFT
-of a hopping rectangular window.  The detectors read only the low band
-(``CUTOFF_HZ``, 1 kHz), so each frame is transformed with a real FFT and
-only its bins at or below the cutoff are kept.  Window and hop have no
-defaults here; :func:`.detect.run_detector` fills in the detectors'.
+by the spectral detection functions is the magnitude of the plain
+unnormalized window DFT of a hopping rectangular window.  The detectors
+read only the low band (``CUTOFF_HZ``, 1 kHz), so each frame is
+transformed with a real FFT and only its bins at or below the cutoff are
+kept.  Window and hop have no defaults here; :func:`.detect.run_detector`
+fills in the detectors'.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ _BLOCK_BYTES = 2 ** 21
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Low-band complex short-time Fourier coefficients with window/hop
-    metadata.
+    """Low-band short-time Fourier magnitudes with window/hop metadata.
 
-    ``frames[n, k]`` is the unnormalized window-DFT coefficient of frame
-    ``n`` at frequency bin ``k`` for the K lowest bins, ``k = 0 .. K-1``;
-    bin ``k`` is ``k * sample_rate / window_length`` Hz at the signal's
-    sample rate.  Frame ``n`` covers the sample range
-    ``[n * hop, n * hop + window_length)`` and is stamped with the time of
-    the window center.
+    ``frames[n, k]`` is the magnitude of the unnormalized window-DFT
+    coefficient of frame ``n`` at frequency bin ``k`` for the K lowest
+    bins, ``k = 0 .. K-1``; bin ``k`` is ``k * sample_rate /
+    window_length`` Hz at the signal's sample rate.  Frame ``n`` covers
+    the sample range ``[n * hop, n * hop + window_length)`` and is stamped
+    with the time of the window center.
     """
 
     frames: np.ndarray = field(repr=False)
@@ -63,6 +63,8 @@ class Spectrogram:
                              "1 <= K <= window_length // 2 + 1")
         if len(self.frame_times) != len(self.frames):
             raise ValueError("frame_times length must match frame count")
+        if np.iscomplexobj(self.frames) or np.any(self.frames < 0):
+            raise ValueError("frames must be real, non-negative magnitudes")
 
     @property
     def n_frames(self) -> int:
@@ -113,30 +115,30 @@ def frame_times(n_frames: int, window_length: int, hop: int,
 
 def stft(signal: Signal, window_length: int, hop: int,
          cutoff_hz: float = CUTOFF_HZ) -> Spectrogram:
-    """Band-limited short-time Fourier transform with a rectangular window.
+    """Band-limited short-time Fourier magnitudes with a rectangular
+    window.
 
-    Each frame goes through a real FFT and only its K =
+    Each frame goes through a real FFT and only the magnitudes of its K =
     :func:`band_limit_bins` bins at or below ``cutoff_hz`` are kept; the
     default cutoff is the detectors' band, ``CUTOFF_HZ``.  Frames are
     transformed in blocks of about ``_BLOCK_BYTES`` of spectrum, so the
     full one-sided spectrum of a long recording never exists at once.
-    Coefficients are the unnormalized window DFT (no 1/sqrt(w) factor), so
-    with the cutoff at Nyquist, per frame
+    Magnitudes are those of the unnormalized window DFT (no 1/sqrt(w)
+    factor), so with the cutoff at Nyquist, per frame
     ``|X_0|^2 + 2 sum_{0<k<w/2} |X_k|^2 + |X_{w/2}|^2 == w * sum_m x[m]^2``.
     Frames that reach past the end read a zero-padded copy of the tail;
     the others are read in place.
     """
     k = band_limit_bins(window_length, signal.sample_rate, cutoff_hz)
-    head, tail = frame_parts(signal.samples, window_length, hop)
-    coeffs = np.empty((len(head) + len(tail), k), dtype=np.complex128)
     block = max(1, _BLOCK_BYTES // (16 * (window_length // 2 + 1)))
-    for frames, out in zip((head, tail), np.split(coeffs, [len(head)])):
-        for start in range(0, len(frames), block):
-            out[start:start + block] = np.fft.rfft(
-                frames[start:start + block], axis=1)[:, :k]
-    times = frame_times(len(coeffs), window_length, hop, signal.sample_rate)
+    # each block's full spectrum is freed before the next one is transformed
+    mags = np.concatenate([
+        np.abs(np.fft.rfft(frames[start:start + block], axis=1)[:, :k])
+        for frames in frame_parts(signal.samples, window_length, hop)
+        for start in range(0, len(frames), block)])
+    times = frame_times(len(mags), window_length, hop, signal.sample_rate)
     return Spectrogram(
-        frames=coeffs,
+        frames=mags,
         window_length=window_length,
         hop=hop,
         frame_times=times,

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 from .peaks import OnsetSequence
 
-__all__ = ["SongRecord", "Database", "DatabaseError", "db_load", "db_save",
-           "is_number_array", "parse_record"]
-
-
-class DatabaseError(ValueError):
-    """The database document violates the format or an invariant."""
+__all__ = ["SongRecord", "Database", "db_load", "db_save", "is_number_array",
+           "parse_record"]
 
 
 @dataclass(frozen=True)
@@ -31,11 +27,11 @@ class SongRecord:
 
     def __post_init__(self):
         if not self.id:
-            raise DatabaseError("id must be non-empty")
+            raise ValueError("id must be non-empty")
         if self.onsets_beats.unit != "beats":
-            raise DatabaseError("onsets must be in beats")
+            raise ValueError("onsets must be in beats")
         if len(self.onsets_beats) < 2:
-            raise DatabaseError("needs at least 2 onsets")
+            raise ValueError("needs at least 2 onsets")
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class Database:
         seen = set()
         for rec in self.records:
             if rec.id in seen:
-                raise DatabaseError(f"duplicate id {rec.id!r}")
+                raise ValueError(f"duplicate id {rec.id!r}")
             seen.add(rec.id)
 
     def __len__(self) -> int:
@@ -64,27 +60,27 @@ def is_number_array(obj) -> bool:
 def parse_record(obj, index: int) -> SongRecord:
     """Check and build record ``index`` of a database from parsed JSON."""
     if not isinstance(obj, dict):
-        raise DatabaseError(f"record #{index}: expected an object")
+        raise ValueError(f"record #{index}: expected an object")
     for key in ("id", "title", "onsets_beats"):
         if key not in obj:
-            raise DatabaseError(f"record #{index}: missing key {key!r}")
+            raise ValueError(f"record #{index}: missing key {key!r}")
     song_id = obj["id"]
     title = obj["title"]
     onsets = obj["onsets_beats"]
     if not isinstance(song_id, str) or not isinstance(title, str):
-        raise DatabaseError(f"record #{index}: id and title must be strings")
+        raise ValueError(f"record #{index}: id and title must be strings")
     try:
         song_id.encode()  # db_save writes UTF-8, which has no surrogates
         title.encode()
         if not is_number_array(onsets):
-            raise DatabaseError("onsets_beats must be an array of numbers")
+            raise ValueError("onsets_beats must be an array of numbers")
         return SongRecord(id=song_id, title=title, onsets_beats=OnsetSequence(
             times=onsets, unit="beats"))
     except UnicodeEncodeError:
-        raise DatabaseError(f"record #{index} ({song_id!r}): id and title "
-                            "must be valid UTF-8") from None
+        raise ValueError(f"record #{index} ({song_id!r}): id and title "
+                         "must be valid UTF-8") from None
     except ValueError as exc:
-        raise DatabaseError(f"record #{index} ({song_id!r}): {exc}") from exc
+        raise ValueError(f"record #{index} ({song_id!r}): {exc}") from exc
 
 
 def db_load(path) -> Database:
@@ -93,9 +89,9 @@ def db_load(path) -> Database:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise DatabaseError(f"parse error in {path}: {exc}") from exc
+            raise ValueError(f"parse error in {path}: {exc}") from exc
     if not isinstance(doc, list):
-        raise DatabaseError("top-level document must be an array")
+        raise ValueError("top-level document must be an array")
     return Database(records=tuple(
         parse_record(obj, i) for i, obj in enumerate(doc)))
 

@@ -399,6 +399,18 @@ class TestDb:
         assert capsys.readouterr() == ("added s1 (2 onsets)\n", "")
         assert db_load(db).records[0].onsets_beats.times.tolist() == beats
 
+    @pytest.mark.parametrize("onsets", ["-inf,0", "-Infinity,0", "-NaN,0"])
+    def test_add_nonfinite_negative_first_onset(self, onsets, tmp_path,
+                                                capsys):
+        # "-inf" is a value too, worded by the record check
+        db = write_db(tmp_path / "db.json", {"a": [0, 1], "b": [0, 2]})
+        before = db.read_bytes()
+        assert main(["db", "add", "--db", str(db), "--id", "c",
+                     "--title", "C", "--onsets", onsets]) == 2
+        assert capsys.readouterr() == (
+            "", "error: record #2 ('c'): onset times must be finite\n")
+        assert db.read_bytes() == before
+
     @pytest.mark.parametrize("tail", [["-x"], []], ids=["flag", "no value"])
     def test_add_onsets_without_a_value_is_usage_error(self, tail, tmp_path,
                                                        capsys):
@@ -799,6 +811,18 @@ class TestPower:
         assert capsys.readouterr() == (
             "", "error: decay must be non-negative and finite\n")
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("bound", "--decay", "-inf", "decay must be non-negative and finite"),
+        ("simulate", "--decay", "-Infinity",
+         "decay must be non-negative and finite"),
+        ("bound", "--freq", "-NaN",
+         "frequency must keep the phase 2 pi f t finite"),
+        ("simulate", "--ssnr", "-nan", "ssnr must be positive and finite")])
+    def test_nonfinite_negative_value_reaches_the_model(
+            self, command, flag, value, message, capsys):
+        assert main(["power", command, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_simulate_zero_trials_usage_error(self, capsys):
         assert main(["power", "simulate", "--trials", "0"]) == 1
         assert capsys.readouterr().err == (
@@ -848,3 +872,54 @@ class TestPower:
         assert capsys.readouterr().err == ""
         assert out.read_text().splitlines()[1:] == [
             "400000,1.0,0.000e+00", "401024,1.0,0.000e+00"]
+
+
+BEYOND_INT64 = str(10 ** 20)
+
+
+class TestIntegersBeyondInt64:
+    """An integer flag past the int64 range fails before anything is
+    allocated, in one ``error:`` line; counts and seeds that Python's
+    integers carry still run."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        wav = str(click_train_wav(tmp_path / "q.wav", [0.5, 1.0]))
+        db = str(write_db(tmp_path / "db.json", {"s": [0, 1, 2]}))
+        return {"detect": ["detect", wav],
+                "search": ["search", wav, "--db", db],
+                "simulate": ["power", "simulate", "--trials", "1"],
+                "bound": ["power", "bound", "--draws", "10"]}
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    # the bound's --hop runs: it reads only min(hop gap, window) samples
+    @pytest.mark.parametrize("command, flag", [
+        *((command, flag) for command in ("detect", "search", "simulate")
+          for flag in ("--window", "--hop", "--neighbors")),
+        ("bound", "--window"), ("bound", "--neighbors")])
+    def test_frame_flag_is_data_error(self, command, flag, commands,
+                                      capsys):
+        assert main(commands[command] + [flag, BEYOND_INT64]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--offset-min", BEYOND_INT64, "--offset-max", BEYOND_INT64],
+        ["--offset-min", "-" + BEYOND_INT64, "--offset-max", "0",
+         "--offset-step", BEYOND_INT64]])
+    def test_bound_offset_is_data_error(self, flags, commands, capsys):
+        assert main(commands["bound"] + flags) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("search", ["--top", BEYOND_INT64]),
+        ("bound", ["--seed", BEYOND_INT64, "--hop", BEYOND_INT64,
+                   "--offset-min", "0", "--offset-max", "0"])])
+    def test_counts_and_seeds_still_run(self, command, flags, commands,
+                                        capsys):
+        assert main(commands[command] + flags) == 0
+        assert capsys.readouterr().err == ""

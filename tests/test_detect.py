@@ -19,7 +19,7 @@ def make_spectrogram(mag_rows, w=4096, sr=48000, hop=2048):
     frames hold as many bins as the longest row, the rest of them zero.
     """
     width = max(len(row) for row in mag_rows)
-    frames = np.zeros((len(mag_rows), width), dtype=complex)
+    frames = np.zeros((len(mag_rows), width))
     for n, row in enumerate(mag_rows):
         frames[n, : len(row)] = row
     times = (np.arange(len(mag_rows)) * hop + w / 2) / sr

@@ -121,14 +121,14 @@ class TestOnsetModel:
 
     def test_mean_sequence_regimes(self):
         model = small_model(decay=0.0, frequency=0.0, amplitude=1.0)
-        means = model.mean_sequence()
+        means = model.mean_sequence
         assert np.all(means[:64] == 0.0)
         assert np.all(means[64:] == 1.0)
 
     def test_mean_sequence_is_built_once_and_read_only(self):
         model = small_model()
-        means = model.mean_sequence()
-        assert model.mean_sequence() is means
+        means = model.mean_sequence
+        assert model.mean_sequence is means
         assert not means.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             means[0] = 1.0
@@ -138,14 +138,14 @@ class TestOnsetModel:
         names = ["amplitude", "decay", "frequency", "noise_sd",
                  "sample_rate", "onset_index", "length"]
         a, b = small_model(), small_model()
-        a.mean_sequence()
+        a.mean_sequence
         assert [f.name for f in dataclasses.fields(a)] == names
         assert a == b and hash(a) == hash(b)
         assert hash(a) == hash(tuple(getattr(a, name) for name in names))
         assert dataclasses.replace(a) == a
         c = dataclasses.replace(a, decay=0.0)
         assert c != a and c == small_model(decay=0.0)
-        assert np.array_equal(c.mean_sequence(), mean_oracle(c))
+        assert np.array_equal(c.mean_sequence, mean_oracle(c))
 
 
 class TestSynthSignal:
@@ -182,7 +182,7 @@ class TestSynthSignal:
             acc += synth_signal(model, s).samples
         sample_mean = acc / reps
         tol = 4.0 * model.noise_sd / math.sqrt(reps)
-        assert np.max(np.abs(sample_mean - model.mean_sequence())) < tol
+        assert np.max(np.abs(sample_mean - model.mean_sequence)) < tol
 
 
 class TestNoncentralityIntegral:
@@ -269,11 +269,20 @@ class TestEnergyTailProbability:
         model = OnsetModel.from_ssnr(decay=0.0, frequency=0.0)
         sigma2 = model.noise_sd ** 2
         start = model.onset_index + offset
-        exact = np.sum(model.mean_sequence()[start:start + 4096] ** 2) / sigma2
+        exact = np.sum(model.mean_sequence[start:start + 4096] ** 2) / sigma2
         assert exact == pytest.approx(ncp, rel=1e-12)
         threshold = (4096 + exact) * sigma2
         assert energy_tail_probability(model, threshold, offset) == (
             pytest.approx(ncx2.sf(4096 + exact, 4096, exact), rel=1e-9))
+
+    def test_window_beyond_int64_is_named(self):
+        # the largest int64 window still reaches ncx2; one more is named
+        model = OnsetModel.from_ssnr()
+        threshold = REFERENCE_SSNR * model.noise_sd ** 2
+        assert energy_tail_probability(model, threshold, 0.0,
+                                       2 ** 63 - 1) == 1.0
+        with pytest.raises(ValueError, match="window_length is out of range"):
+            energy_tail_probability(model, threshold, 0.0, 2 ** 63)
 
     @pytest.mark.parametrize("window_length", [64, 2048, 4096])
     def test_minus_infinity_offset_is_noise_alone(self, window_length):

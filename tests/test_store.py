@@ -9,7 +9,6 @@ from humsearch import cli, store
 from humsearch.peaks import OnsetSequence
 from humsearch.store import (
     Database,
-    DatabaseError,
     SongRecord,
     db_load,
     db_save,
@@ -30,23 +29,23 @@ def record(song_id, onsets, title=None):
 
 class TestSongRecord:
     def test_requires_beats_unit(self):
-        with pytest.raises(DatabaseError):
+        with pytest.raises(ValueError, match="onsets must be in beats"):
             SongRecord(id="s", title="S",
                        onsets_beats=OnsetSequence(times=[0.0, 1.0],
                                                   unit="seconds"))
 
     def test_requires_two_onsets(self):
-        with pytest.raises(DatabaseError):
+        with pytest.raises(ValueError, match="needs at least 2 onsets"):
             record("s", [0.0])
 
     def test_requires_id(self):
-        with pytest.raises(DatabaseError):
+        with pytest.raises(ValueError, match="id must be non-empty"):
             record("", [0.0, 1.0])
 
 
 class TestDatabase:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DatabaseError, match="duplicate id"):
+        with pytest.raises(ValueError, match="duplicate id"):
             Database(records=(record("s1", [0, 1]), record("s1", [0, 2])))
 
 
@@ -69,7 +68,7 @@ class TestDbLoad:
         path.write_text(json.dumps([
             {"id": "s1", "title": "One", "onsets_beats": [0, 1, 1]},
         ]))
-        with pytest.raises(DatabaseError) as info:
+        with pytest.raises(ValueError) as info:
             db_load(path)
         assert str(info.value) == (
             "record #0 ('s1'): onset times must be strictly increasing")
@@ -80,26 +79,26 @@ class TestDbLoad:
             {"id": "s1", "title": "One", "onsets_beats": [0, 1]},
             {"id": "s1", "title": "Two", "onsets_beats": [0, 2]},
         ]))
-        with pytest.raises(DatabaseError, match="duplicate id"):
+        with pytest.raises(ValueError, match="duplicate id"):
             db_load(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("[{")
-        with pytest.raises(DatabaseError) as info:
+        with pytest.raises(ValueError) as info:
             db_load(path)
         assert str(info.value).startswith(f"parse error in {path}: ")
 
     def test_nested_too_deeply_to_decode(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        with pytest.raises(DatabaseError, match="parse error"):
+        with pytest.raises(ValueError, match="parse error"):
             db_load(path)
 
     def test_top_level_must_be_array(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("{}")
-        with pytest.raises(DatabaseError):
+        with pytest.raises(ValueError, match="must be an array"):
             db_load(path)
 
     def test_error_reports_record_context(self, tmp_path):
@@ -108,7 +107,7 @@ class TestDbLoad:
             {"id": "ok", "title": "OK", "onsets_beats": [0, 1]},
             {"id": "bad", "title": "Bad", "onsets_beats": [5]},
         ]))
-        with pytest.raises(DatabaseError) as info:
+        with pytest.raises(ValueError) as info:
             db_load(path)
         assert str(info.value) == "record #1 ('bad'): needs at least 2 onsets"
 
@@ -117,7 +116,7 @@ class TestDbLoad:
         path.write_text(json.dumps([
             {"id": "", "title": "One", "onsets_beats": [0, 1]},
         ]))
-        with pytest.raises(DatabaseError) as info:
+        with pytest.raises(ValueError) as info:
             db_load(path)
         assert str(info.value) == "record #0 (''): id must be non-empty"
 
@@ -252,10 +251,10 @@ def record_check_oracle(onsets):
     """What record #0 ``'s'`` with these onsets gave before: the oracles
     above in turn, then the two-onset minimum."""
     if not is_number_array_oracle(onsets):
-        raise DatabaseError("onsets_beats must be an array of numbers")
+        raise ValueError("onsets_beats must be an array of numbers")
     onset_check_oracle(onsets)
     if len(onsets) < 2:
-        raise DatabaseError("needs at least 2 onsets")
+        raise ValueError("needs at least 2 onsets")
 
 
 def outcome(check, *args):
@@ -308,7 +307,7 @@ class TestRecordChecksMatchTheOracles:
     def test_parse_record_and_db_validate(self, onsets, tmp_path, capsys):
         expected = outcome(record_check_oracle, onsets)
         if expected is not None:
-            expected = (DatabaseError, f"record #0 ('s'): {expected[1]}")
+            expected = (ValueError, f"record #0 ('s'): {expected[1]}")
         obj = {"id": "s", "title": "S", "onsets_beats": onsets}
         assert outcome(parse_record, obj, 0) == expected
         path = tmp_path / "db.json"
@@ -348,7 +347,7 @@ class TestDbLoadFuzz:
         path.write_text(json.dumps(doc), encoding="utf-8")
         try:
             db = db_load(path)
-        except DatabaseError as exc:
+        except ValueError as exc:
             assert str(exc).count("record #") <= 1
             return
         assert len(db) == len(doc)
