@@ -41,6 +41,14 @@ class Signal:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
+    @classmethod
+    def _finite(cls, samples: np.ndarray, sample_rate: int) -> Signal:
+        """A Signal of 1-D float64 ``samples`` known to be finite, as
+        decoded integer PCM is, with every check but the finiteness scan."""
+        signal = cls(np.empty(0), sample_rate)  # the sample-rate check
+        object.__setattr__(signal, "samples", samples)
+        return signal
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -138,4 +146,6 @@ def _decode_wav(data: bytes) -> Signal:
     # integers take their one float64 copy here; floats divide in place
     samples = np.divide(samples, scale,
                         out=samples if samples.dtype == np.float64 else None)
+    if format_tag == _WAVE_FORMAT_PCM:  # integers hold no NaN or infinity
+        return Signal._finite(samples, int(sample_rate))
     return Signal(samples=samples, sample_rate=int(sample_rate))

@@ -231,8 +231,9 @@ def _cmd_power(args) -> int:
     if args.power_cmd == "bound":
         ssnr = getattr(args, "ssnr", power.REFERENCE_SSNR)
         threshold = ssnr * model.noise_sd ** 2
-        offsets = np.arange(args.offset_min, args.offset_max + 1,
-                            args.offset_step)
+        # range counts the points in Python integers, exactly at any size
+        offsets = np.array(range(args.offset_min, args.offset_max + 1,
+                                 args.offset_step), dtype=np.int64)
         if len(offsets) == 0:
             raise UsageError(f"--offset-min {args.offset_min} is above "
                              f"--offset-max {args.offset_max}")

@@ -99,6 +99,9 @@ def subset_match(query: OnsetSequence, reference: OnsetSequence) -> MatchResult:
 # Cells per batched chunk: about _CHUNK_CELLS * len(r) floats per array.
 _CHUNK_CELLS = 1024
 
+_SLACK = 1 + 1e-9  # over |rho| <= 1, for rounding (see _skippable)
+_GUARD = 1e50
+
 
 def _anchor_map(q: np.ndarray, r: np.ndarray, a, b, c, d):
     """The map s = alpha + beta * r of the anchor cell (q[a], q[b]) <->
@@ -108,7 +111,20 @@ def _anchor_map(q: np.ndarray, r: np.ndarray, a, b, c, d):
     return q[a] - beta * r[c], beta
 
 
-def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d):
+def _skippable(q: np.ndarray, s: np.ndarray, valid: np.ndarray) -> bool:
+    """Whether no cell of the mapped references ``s`` can score above
+    L^2/(m*n) * _SLACK and one surely scores finite.  Where q's gaps and a
+    valid row's exceed 1/_GUARD, its sums of squares exceed 1/(4 *
+    _GUARD**2), so they and their product are normal and |rho| <= 1 up to
+    rounding; onsets also below _GUARD in size overflow no sum either."""
+    tame = np.diff(s, axis=1).min(axis=1) > 1 / _GUARD
+    sure = valid & tame & (-s[:, 0] < _GUARD) & (s[:, -1] < _GUARD)
+    return bool(np.diff(q).min() > 1 / _GUARD and max(-q[0], q[-1]) < _GUARD
+                and sure.any() and (tame | ~valid).all())
+
+
+def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d,
+                  floor: float = -np.inf):
     """Scores of the anchor cells (q[a], q[b]) <-> (r[c], r[d]), computed
     together, and their matched counts L; the score is NaN for a cell whose
     mapped reference is not a valid onset sequence.
@@ -117,13 +133,27 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d):
     Every sum runs along one C-contiguous row (a cell's reference onsets,
     zero where unmatched), so a cell's score does not depend on the cells
     that share its chunk.
+
+    A ``_skippable`` chunk whose scores are bounded below ``floor``, by
+    min(n, m) or after the matching by its largest L, skips the passes
+    left: its cells score NaN with a matched count of -1.
     """
     n, m = len(q), len(r)
     alpha, beta = _anchor_map(q, r, a, b, c, d)
     s = alpha[:, None] + beta[:, None] * r
-    x, mutual = _mutual_nearest(q, s)
+    # the check that OnsetSequence makes of the mapped reference
+    valid = np.isfinite(s).all(axis=1) & (s[:, 1:] > s[:, :-1]).all(axis=1)
 
+    def below(bound):
+        return (bound * bound / (n * m) * _SLACK < floor
+                and _skippable(q, s, valid))
+
+    if below(min(n, m)):
+        return np.nan, -1
+    x, mutual = _mutual_nearest(q, s)
     L = mutual.sum(axis=1)
+    if below(L.max()):
+        return np.nan, -1
     count = np.maximum(L, 1)[:, None]
 
     def centred(v):
@@ -135,19 +165,18 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d):
     rho = np.divide((dx * ds).sum(axis=1), np.sqrt(vx * vs),
                     out=np.zeros(len(s)), where=(vx > 0) & (vs > 0))
     scores = np.where(L >= 2, rho * (L * L / (n * m)), 0.0)
-    # the check that OnsetSequence makes of the mapped reference
-    valid = np.isfinite(s).all(axis=1) & (s[:, 1:] > s[:, :-1]).all(axis=1)
     return np.where(valid, scores, np.nan), L
 
 
-def _correlative_core(q: np.ndarray, r: np.ndarray):
+def _correlative_core(q: np.ndarray, r: np.ndarray, floor: float = -np.inf):
     """Anchor-pair search over the cells that anchor the shorter side at
     its ends; returns the winning cell's score, alpha, beta and matched
     count.  The longer side's anchors (i, j) run row-major over the pairs
     that span at least as many onsets as the shorter side has, and arg-max
     ties break toward smallest i, then smallest j.  Cells whose score is
     not finite, or whose mapped reference overflows or collapses, never
-    win; a song with no other cell is rejected.
+    win; a song with no other cell is rejected.  Returns None when a chunk
+    went unscored below ``floor`` and no scored cell reaches it.
     """
     n, m = len(q), len(r)
     ends = (0, min(n, m) - 1)  # the shorter side's anchors
@@ -165,22 +194,27 @@ def _correlative_core(q: np.ndarray, r: np.ndarray):
         for start in range(0, len(ii), _CHUNK_CELLS):
             chunk = slice(start, start + _CHUNK_CELLS)
             scores[chunk], matched[chunk] = _batch_scores(
-                q, r, *anchors(chunk))
+                q, r, *anchors(chunk), floor)
         best = int(np.argmax(np.where(np.isfinite(scores), scores, -np.inf)))
+        if not scores[best] >= floor and matched.min() < 0:
+            return None
         if not np.isfinite(scores[best]):
             raise ValueError("no anchor cell gives a finite score")
         alpha, beta = _anchor_map(q, r, *anchors(best))
     return float(scores[best]), alpha, beta, int(matched[best])
 
 
-def correlative_match(query: OnsetSequence,
-                      reference: OnsetSequence) -> SimilarityResult:
+def correlative_match(query: OnsetSequence, reference: OnsetSequence,
+                      floor: float = -np.inf) -> SimilarityResult | None:
     """Best affine alignment of query onsets (seconds) against reference
     onsets (beats), scored by penalized Pearson correlation.
 
     The reference is always mapped onto the query, s = alpha + beta * r,
-    so alpha and beta are query-side, whichever side is longer.
+    so alpha and beta are query-side, whichever side is longer.  It may
+    return None for a song whose best score is surely finite and below
+    ``floor``, without scoring every cell; otherwise it is as floorless.
     """
     if len(query) < 2 or len(reference) < 2:
         raise ValueError("need at least 2 onsets on each side")
-    return SimilarityResult(*_correlative_core(query.times, reference.times))
+    core = _correlative_core(query.times, reference.times, floor)
+    return None if core is None else SimilarityResult(*core)

@@ -4,6 +4,8 @@ the matched count L) as ``correlative_match`` returned it."""
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 from .match import SimilarityResult, correlative_match
@@ -35,7 +37,9 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
 
     Entries whose score comes within ``closeness`` of the maximum are
     flagged as credible alternatives.  Records that cannot be scored are
-    skipped and reported, not fatal.
+    skipped and reported, not fatal.  Songs are visited by their score
+    bound min(n, m)/max(n, m), highest first; the k-th best score so far is
+    the floor below which a song need not be scored in full.
     """
     if len(query) < 2:  # before the database, as a re-recording fixes it
         raise ValueError(
@@ -48,15 +52,22 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
     if not closeness >= 0:  # NaN too
         raise ValueError("closeness must be non-negative")
 
-    scored = []
-    skipped = []
-    for rec in db.records:
+    n, m = len(query), [len(rec.onsets_beats) for rec in db.records]
+    scored, skipped = [], []
+    top = []  # a min-heap of the best top_k scores so far
+    for i in sorted(range(len(m)), key=lambda i: -min(n, m[i]) / max(n, m[i])):
+        rec = db.records[i]
+        floor = top[0] if len(top) == top_k else -math.inf
         try:
-            sim = correlative_match(query, rec.onsets_beats)
+            sim = correlative_match(query, rec.onsets_beats, floor=floor)
         except ValueError as exc:
-            skipped.append((rec.id, str(exc)))
+            skipped.append((i, rec.id, str(exc)))
             continue
-        scored.append((rec, sim))
+        if sim is not None:
+            scored.append((rec, sim))
+            (heapq.heappush if len(top) < top_k else heapq.heappushpop)(
+                top, sim.score)
+    skipped = [(song_id, reason) for _, song_id, reason in sorted(skipped)]
     if not scored:  # the database is not empty, so a song was skipped
         first_id, reason = skipped[0]
         raise ValueError(f"no scorable records in database ({len(skipped)} "

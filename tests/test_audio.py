@@ -257,6 +257,33 @@ class TestDecodeFromTheFileBytes:
         assert np.array_equal(decode_wav_oracle(data).samples, want)
 
 
+class TestIntegerPcmSkipsTheScan:
+    """Integer PCM cannot hold NaN or infinity, so its Signal is built
+    without the finiteness scan; float PCM keeps it."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("format_tag,bits", [(1, 8), (1, 16), (1, 24),
+                                                 (3, 32)])
+    def test_every_format_decodes_as_the_replaced_decoder(
+            self, format_tag, bits, channels, rng):
+        n = channels * 999
+        payload = (rng.bytes(bits // 8 * n) if format_tag == 1 else
+                   rng.uniform(-1.5, 1.5, n).astype("<f4").tobytes())
+        data = riff(format_tag, channels, 44100, bits, payload)
+        got, want = _decode_wav(data), decode_wav_oracle(data)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.sample_rate == want.sample_rate == 44100
+
+    def test_integer_pcm_keeps_the_sample_rate_check(self):
+        with pytest.raises(ValueError, match="^sample_rate must be positive$"):
+            _decode_wav(riff(1, 1, 0, 16, bytes(4)))
+
+    def test_float_nan_is_rejected(self):
+        data = riff(3, 1, 48000, 32, struct.pack("<ff", 0.5, np.nan))
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            _decode_wav(data)
+
+
 class TestDecoderFuzz:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(

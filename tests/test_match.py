@@ -104,10 +104,11 @@ def loop_cells(q, r):
             yield score, alpha, beta, L
 
 
-def loop_correlative_core(q, r):
+def loop_correlative_core(q, r, floor=-np.inf):
     """The cell-by-cell anchor search the batched kernel replaced, kept as
     its oracle: one ``_cell_score`` per feasible cell; the first cell with
-    the largest finite score wins."""
+    the largest finite score wins.  It scores every cell, so it takes no
+    notice of a floor."""
     best = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for cell in loop_cells(q, r):

@@ -1,9 +1,17 @@
+import importlib.util
+import json
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from humsearch import match, search
 from humsearch.match import correlative_match
 from humsearch.peaks import OnsetSequence
-from humsearch.search import rank
+from humsearch.search import RankedEntry, RankedResult, rank
 from humsearch.store import Database, SongRecord
 
 PATTERNS = {
@@ -121,3 +129,153 @@ class TestRank:
     def test_negative_or_nan_closeness_rejected(self, closeness):
         with pytest.raises(ValueError, match="closeness"):
             rank(build_db(), seconds([0.0, 1.0]), closeness=closeness)
+
+
+def exhaustive_rank(db, query, top_k=5, closeness=0.05):
+    """``rank`` as it was before it pruned, kept as its oracle: every song
+    scored in full, in database order."""
+    if len(query) < 2:
+        raise ValueError(
+            "query produced fewer than 2 onsets; please re-record with "
+            "clearer rhythm")
+    if len(db) == 0:
+        raise ValueError("empty database")
+    if top_k < 1:
+        raise ValueError("top_k must be positive")
+    if not closeness >= 0:
+        raise ValueError("closeness must be non-negative")
+    scored, skipped = [], []
+    for rec in db.records:
+        try:
+            sim = correlative_match(query, rec.onsets_beats)
+        except ValueError as exc:
+            skipped.append((rec.id, str(exc)))
+            continue
+        scored.append((rec, sim))
+    if not scored:
+        first_id, reason = skipped[0]
+        raise ValueError(f"no scorable records in database ({len(skipped)} "
+                         f"skipped; first {first_id!r}: {reason})")
+    scored.sort(key=lambda pair: (-pair[1].score, pair[0].id))
+    best = scored[0][1].score
+    return RankedResult(entries=tuple(
+        RankedEntry(rec.id, rec.title, sim, sim.score >= best - closeness)
+        for rec, sim in scored[:top_k]), skipped=tuple(skipped))
+
+
+def rank_outcome(rank_fn, *args, **kwargs):
+    """The repr of the entries and skipped songs, bit for bit in every
+    float, or the message of the error raised."""
+    try:
+        result = rank_fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return repr((result.entries, result.skipped))
+
+
+def song(song_id, beats):
+    return SongRecord(id=song_id, title=song_id.upper(),
+                      onsets_beats=OnsetSequence(
+                          times=np.asarray(beats, float), unit="beats"))
+
+
+@st.composite
+def pruning_catalogue(draw):
+    """A catalogue of 1-8 songs of 2-21 onsets, among them duplicate
+    rhythms under other ids (exact ties), songs whose anchor maps
+    overflow and songs whose mapped onsets collapse, and a query that is
+    a copy of a song or a random rhythm, spanning 30, 1e200 (sums of
+    squares overflow), 1e-81 (their product underflows) or the largest
+    floats."""
+    rhythms = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ["plain", "plain", "duplicate", "overflow", "collapse"]))
+        steps = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+                              min_size=1, max_size=20))
+        beats = np.cumsum([0.0] + steps)
+        if kind == "duplicate" and rhythms:
+            beats = draw(st.sampled_from(rhythms))
+        elif kind == "overflow":
+            beats = beats * 1e300
+        elif kind == "collapse":
+            beats = np.append(beats * 1e-300, 1e10)
+        rhythms.append(beats)
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(len(rhythms))]))
+    db = Database(records=tuple(map(song, ids, rhythms)))
+    source = draw(st.sampled_from(rhythms))
+    if draw(st.booleans()):  # a copy, jittered on a grid so scores tie
+        times = 0.5 + 0.4 * source + 0.01 * np.array(draw(st.lists(
+            st.sampled_from([-1, 0, 1]), min_size=len(source),
+            max_size=len(source))))
+    else:
+        times = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=2,
+                                        max_size=24)))
+    scale = draw(st.sampled_from([30.0, 1e200, 1e-81, 1.7e308]))
+    try:
+        with np.errstate(over="ignore"):
+            query = OnsetSequence(times=np.sort(times) / times.max() * scale)
+    except ValueError:  # the copy collapsed or overflowed
+        query = OnsetSequence(times=np.array([0.0, 1.0]))
+    return db, query, draw(st.integers(1, len(db) + 1))
+
+
+class TestPrunedRankIsExhaustive:
+    """``rank`` stops scoring a song that cannot reach the top k, and its
+    entries, skipped songs and errors are bit for bit those of scoring
+    every song."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=pruning_catalogue(), chunk=st.sampled_from([1, 7, 1024]))
+    def test_equals_the_exhaustive_loop(self, case, chunk):
+        db, query, top_k = case
+        with mock.patch.object(match, "_CHUNK_CELLS", chunk):
+            got = rank_outcome(rank, db, query, top_k=top_k)
+        assert got == rank_outcome(exhaustive_rank, db, query, top_k=top_k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=pruning_catalogue(), at=st.floats(0, 1),
+           chunk=st.sampled_from([1, 7, 1024]))
+    def test_a_floor_drops_only_songs_below_it(self, case, at, chunk):
+        # None only for a song whose full score is finite and below the
+        # floor; any other song gets its result or error as without one
+        db, query, _ = case
+        for rec in db.records:
+            try:
+                want = correlative_match(query, rec.onsets_beats)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    correlative_match(query, rec.onsets_beats, floor=at)
+                continue
+            for floor in (at, want.score, np.nextafter(want.score, 2)):
+                with mock.patch.object(match, "_CHUNK_CELLS", chunk):
+                    got = correlative_match(query, rec.onsets_beats,
+                                            floor=floor)
+                assert got == want or (got is None and want.score < floor)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_catalogues(self, seed, tmp_path):
+        # the onset_rank workload's catalogue and listings; at least one
+        # song per query goes unscored, so the saving cannot vanish unseen
+        spec = importlib.util.spec_from_file_location(
+            "corpus", Path(__file__).parents[1] / "bench" / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        made = corpus.onset_rank(seed, str(tmp_path))
+        db = Database(records=tuple(song(s["id"], s["beats"])
+                                    for s in made["songs"]))
+        dropped = []
+
+        def counting(query, reference, floor):
+            sim = correlative_match(query, reference, floor=floor)
+            dropped[-1] += sim is None
+            return sim
+
+        for listing in made["queries"]:
+            with open(listing["path"], encoding="utf-8") as fh:
+                query = OnsetSequence(times=np.asarray(json.load(fh)))
+            dropped.append(0)
+            with mock.patch.object(search, "correlative_match", counting):
+                got = rank_outcome(rank, db, query)
+            assert got == rank_outcome(exhaustive_rank, db, query)
+        assert min(dropped) >= 1
