@@ -231,9 +231,12 @@ def _cmd_power(args) -> int:
     if args.power_cmd == "bound":
         ssnr = getattr(args, "ssnr", power.REFERENCE_SSNR)
         threshold = ssnr * model.noise_sd ** 2
-        # range counts the points in Python integers, exactly at any size
-        offsets = np.array(range(args.offset_min, args.offset_max + 1,
-                                 args.offset_step), dtype=np.int64)
+        try:  # range counts the points in Python integers, exactly at any size
+            offsets = np.array(range(args.offset_min, args.offset_max + 1,
+                                     args.offset_step), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("--offset-min, --offset-max and --offset-step "
+                             "give an offset beyond int64") from None
         if len(offsets) == 0:
             raise UsageError(f"--offset-min {args.offset_min} is above "
                              f"--offset-max {args.offset_max}")

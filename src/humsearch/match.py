@@ -6,8 +6,8 @@ onsets as detected/missed.  Correlative matching searches over anchor
 cells: an anchor pair on each side, (q[a], q[b]) <-> (r[c], r[d]), fixes
 the affine map from reference beats to query seconds that puts r[c], r[d]
 on q[a], q[b], and the alignment scores the Pearson correlation of the
-matched pairs times a penalty of L^2/(m*n) for unmatched onsets on either
-side.  The cells searched anchor the shorter side at its ends.
+matched pairs, clipped to [-1, 1], times a penalty of L^2/(m*n) for
+unmatched onsets on either side.  Cells anchor the shorter side's ends.
 
 One pairing rule serves both: ``subset_match`` runs it on one row, and
 the anchor search on every feasible cell of a song, listed once, flat and
@@ -99,7 +99,6 @@ def subset_match(query: OnsetSequence, reference: OnsetSequence) -> MatchResult:
 # Cells per batched chunk: about _CHUNK_CELLS * len(r) floats per array.
 _CHUNK_CELLS = 1024
 
-_SLACK = 1 + 1e-9  # over |rho| <= 1, for rounding (see _skippable)
 _GUARD = 1e50
 
 
@@ -112,22 +111,19 @@ def _anchor_map(q: np.ndarray, r: np.ndarray, a, b, c, d):
 
 
 def _skippable(q: np.ndarray, s: np.ndarray, valid: np.ndarray) -> bool:
-    """Whether no cell of the mapped references ``s`` can score above
-    L^2/(m*n) * _SLACK and one surely scores finite.  Where q's gaps and a
-    valid row's exceed 1/_GUARD, its sums of squares exceed 1/(4 *
-    _GUARD**2), so they and their product are normal and |rho| <= 1 up to
-    rounding; onsets also below _GUARD in size overflow no sum either."""
-    tame = np.diff(s, axis=1).min(axis=1) > 1 / _GUARD
-    sure = valid & tame & (-s[:, 0] < _GUARD) & (s[:, -1] < _GUARD)
-    return bool(np.diff(q).min() > 1 / _GUARD and max(-q[0], q[-1]) < _GUARD
-                and sure.any() and (tame | ~valid).all())
+    """Whether a cell of the mapped references ``s`` surely scores finite:
+    q and a valid row lie within +-_GUARD, so none of its sums overflows."""
+    sure = valid & (-s[:, 0] < _GUARD) & (s[:, -1] < _GUARD)
+    return bool(max(-q[0], q[-1]) < _GUARD and sure.any())
 
 
 def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d,
                   floor: float = -np.inf):
     """Scores of the anchor cells (q[a], q[b]) <-> (r[c], r[d]), computed
-    together, and their matched counts L; the score is NaN for a cell whose
-    mapped reference is not a valid onset sequence.
+    together, and their matched counts L.  A cell scores rho * L^2/(m*n)
+    (0 where L < 2), rho its pairs' Pearson correlation clipped to [-1, 1]
+    and 0 where the product of their sums of squares is not positive; NaN
+    where its mapped reference is not a valid onset sequence.
 
     The affine maps are bit for bit those of ``_anchor_map`` at one cell.
     Every sum runs along one C-contiguous row (a cell's reference onsets,
@@ -145,8 +141,7 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d,
     valid = np.isfinite(s).all(axis=1) & (s[:, 1:] > s[:, :-1]).all(axis=1)
 
     def below(bound):
-        return (bound * bound / (n * m) * _SLACK < floor
-                and _skippable(q, s, valid))
+        return bound * bound / (n * m) < floor and _skippable(q, s, valid)
 
     if below(min(n, m)):
         return np.nan, -1
@@ -161,9 +156,10 @@ def _batch_scores(q: np.ndarray, r: np.ndarray, a, b, c, d,
         return np.where(mutual, v - mean, 0.0)
 
     dx, ds = centred(x), centred(s)
-    vx, vs = (dx * dx).sum(axis=1), (ds * ds).sum(axis=1)
-    rho = np.divide((dx * ds).sum(axis=1), np.sqrt(vx * vs),
-                    out=np.zeros(len(s)), where=(vx > 0) & (vs > 0))
+    v = (dx * dx).sum(axis=1) * (ds * ds).sum(axis=1)
+    rho = np.divide((dx * ds).sum(axis=1), np.sqrt(v), out=np.zeros(len(s)),
+                    where=v > 0)
+    np.clip(rho, -1.0, 1.0, out=rho)
     scores = np.where(L >= 2, rho * (L * L / (n * m)), 0.0)
     return np.where(valid, scores, np.nan), L
 
@@ -173,10 +169,10 @@ def _correlative_core(q: np.ndarray, r: np.ndarray, floor: float = -np.inf):
     its ends; returns the winning cell's score, alpha, beta and matched
     count.  The longer side's anchors (i, j) run row-major over the pairs
     that span at least as many onsets as the shorter side has, and arg-max
-    ties break toward smallest i, then smallest j.  Cells whose score is
-    not finite, or whose mapped reference overflows or collapses, never
-    win; a song with no other cell is rejected.  Returns None when a chunk
-    went unscored below ``floor`` and no scored cell reaches it.
+    ties break toward smallest i, then smallest j.  A cell scores not
+    finite only for an invalid mapped reference or an overflowing sum; it
+    never wins, and a song with no other cell is rejected.  Returns None
+    when a chunk went unscored below ``floor`` and no scored cell reaches it.
     """
     n, m = len(q), len(r)
     ends = (0, min(n, m) - 1)  # the shorter side's anchors

@@ -915,6 +915,17 @@ class TestIntegersBeyondInt64:
         assert main(commands["bound"] + flags) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("flags", [
+        ["--offset-max", BEYOND_INT64, "--offset-step", BEYOND_INT64],
+        ["--offset-min", "-" + BEYOND_INT64, "--offset-max",
+         "-" + BEYOND_INT64]])
+    def test_bound_offset_error_names_the_flags(self, flags, commands,
+                                                capsys):
+        assert main(commands["bound"] + flags) == 2
+        assert capsys.readouterr() == ("", (
+            "error: --offset-min, --offset-max and --offset-step give an "
+            "offset beyond int64\n"))
+
     @pytest.mark.parametrize("command, flags", [
         ("search", ["--top", BEYOND_INT64]),
         ("bound", ["--seed", BEYOND_INT64, "--hop", BEYOND_INT64,

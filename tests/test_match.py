@@ -21,7 +21,8 @@ def _cell_score(q, scaled_ref):
     """Score and matched count L of one anchor cell, the loop oracle's: the
     pairs of ``brute_force_subset_match`` laid out along the mapped
     reference, zero at its unmatched onsets, and their Pearson correlation
-    times L^2/(m*n)."""
+    times L^2/(m*n): rho is clipped to [-1, 1] and is 0 where the product
+    of the sums of squares is not positive."""
     matched, detected, _, _ = brute_force_subset_match(
         q.tolist(), scaled_ref.tolist())
     L = len(matched)
@@ -36,8 +37,8 @@ def _cell_score(q, scaled_ref):
         return row
 
     dx, ds = centred(matched), centred(detected)
-    vx, vs = (dx * dx).sum(), (ds * ds).sum()
-    rho = (dx * ds).sum() / np.sqrt(vx * vs) if vx > 0 and vs > 0 else 0.0
+    v = (dx * dx).sum() * (ds * ds).sum()
+    rho = np.clip((dx * ds).sum() / np.sqrt(v), -1, 1) if v > 0 else 0.0
     return rho * (L * L / (len(q) * len(scaled_ref))), L
 
 
@@ -367,6 +368,55 @@ class TestBatchedAnchorSearch:
         # every mapped reference overflows or collapses, or its score does
         with pytest.raises(ValueError, match="no anchor cell gives a finite"):
             correlative_match(seq(query), seq(reference, unit="beats"))
+
+
+class TestScoreBound:
+    """rho is clipped to [-1, 1] and is 0 where the product of the sums of
+    squares is not positive, so a cell whose sums are finite scores finite
+    and at most L^2/(m*n), however its rounding or underflow falls."""
+
+    @pytest.mark.parametrize("scales", [10.0 ** np.arange(-84, -75),
+                                        np.arange(1.0, 31.0)])
+    def test_no_cell_scores_above_its_bound(self, scales, rng):
+        # random 3-9-onset pairs, half of them exact affine copies; near
+        # 1e-81 s the product of the sums of squares is subnormal
+        for _ in range(300):
+            n, m = (int(k) for k in rng.integers(3, 10, size=2))
+            r = np.cumsum(rng.uniform(0.5, 3.0, m))
+            if rng.random() < 0.5:
+                q, n = 0.5 + 0.4 * r, m
+            else:
+                q = np.cumsum(rng.uniform(0.1, 2.0, n))
+            q = q / q.max() * rng.choice(scales)
+            ii, jj, anchors = end_anchored_cells(q, r)
+            with np.errstate(all="ignore"):
+                scores, L = match._batch_scores(q, r, *anchors(ii, jj))
+            finite = np.isfinite(scores)
+            assert (scores[finite] <= (L * L / (n * m))[finite]).all()
+
+    @pytest.mark.parametrize("span", [5.0, 10.0, 20.0])
+    def test_exact_copy_scores_at_most_one(self, span):
+        beats = np.array([0, 1.5, 3, 4.5, 7.5, 9.5])
+        result = correlative_match(seq(beats / beats.max() * span),
+                                   seq(beats, unit="beats"))
+        assert result.score == 1.0
+
+    def test_underflowed_product_scores_zero(self):
+        # near 1e-100 s each sum of squares is near 1e-200 and their
+        # product underflows to 0: every cell scores 0, not inf
+        beats = np.array([0.0, 1.0, 2.5, 4.0, 6.0])
+        result = correlative_match(seq(1e-100 * beats),
+                                   seq(beats, unit="beats"))
+        assert (result.score, result.matched) == (0.0, 5)
+
+    @pytest.mark.parametrize("floor", [0.5, 1.0, np.inf])
+    def test_a_floor_keeps_the_rejection(self, floor):
+        # every cell overflows, so the song is rejected, not dropped as
+        # below the floor: q reaches past the size guard
+        with pytest.raises(ValueError, match="no anchor cell gives a finite"):
+            correlative_match(seq([0.0, 0.5, 1.5, 1e308]),
+                              seq([0, 1, 2, 3, 4, 5], unit="beats"),
+                              floor=floor)
 
 
 class TestAnchorMap:
