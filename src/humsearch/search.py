@@ -8,6 +8,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import match
 from .match import SimilarityResult, correlative_match
 from .peaks import OnsetSequence
 from .store import Database
@@ -37,9 +40,12 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
 
     Entries whose score comes within ``closeness`` of the maximum are
     flagged as credible alternatives.  Records that cannot be scored are
-    skipped and reported, not fatal.  Songs are visited by their score
-    bound min(n, m)/max(n, m), highest first; the k-th best score so far is
-    the floor below which a song need not be scored in full.
+    skipped and reported, not fatal.  Songs are visited by their length
+    bound min(n, m)/max(n, m), highest first, and paired in groups of at
+    most ``match._GROUP_ONSETS`` mapped onsets, one pass per group; within
+    a group they are decided by the bound of their largest matched count,
+    highest first.  The k-th best score so far is the floor below which a
+    song need not be scored in full.
     """
     if len(query) < 2:  # before the database, as a re-recording fixes it
         raise ValueError(
@@ -55,18 +61,46 @@ def rank(db: Database, query: OnsetSequence, top_k: int = 5,
     n, m = len(query), [len(rec.onsets_beats) for rec in db.records]
     scored, skipped = [], []
     top = []  # a min-heap of the best top_k scores so far
-    for i in sorted(range(len(m)), key=lambda i: -min(n, m[i]) / max(n, m[i])):
+
+    def floor():
+        return top[0] if len(top) == top_k else -math.inf
+
+    def decide(i, paired=None):
         rec = db.records[i]
-        floor = top[0] if len(top) == top_k else -math.inf
         try:
-            sim = correlative_match(query, rec.onsets_beats, floor=floor)
+            sim = correlative_match(query, rec.onsets_beats, floor=floor(),
+                                    paired=paired)
         except ValueError as exc:
             skipped.append((i, rec.id, str(exc)))
-            continue
+            return
         if sim is not None:
             scored.append((rec, sim))
             (heapq.heappush if len(top) < top_k else heapq.heappushpop)(
                 top, sim.score)
+
+    def decide_group(group):
+        # best-first by the bound of each song's largest matched count
+        shares, bounds = match.pair_songs(
+            query, [db.records[i].onsets_beats for i in group])
+        for k in np.argsort(-bounds, kind="stable"):
+            decide(group[k], shares[k])
+
+    group, size = [], 0  # the songs of the next pass, their mapped onsets
+    for i in sorted(range(len(m)), key=lambda i: -min(n, m[i]) / max(n, m[i])):
+        onsets = match.mapped_onsets(n, m[i])
+        if group and size + onsets > match._GROUP_ONSETS:
+            decide_group(group)
+            group, size = [], 0
+        # a song above the budget is paired alone, in pieces; one below the
+        # floor by its length bound is decided from its first cell alone
+        if (onsets > match._GROUP_ONSETS
+                or min(n, m[i]) ** 2 / (n * m[i]) < floor()):
+            decide(i)
+        else:
+            group.append(i)
+            size += onsets
+    if group:
+        decide_group(group)
     skipped = [(song_id, reason) for _, song_id, reason in sorted(skipped)]
     if not scored:  # the database is not empty, so a song was skipped
         first_id, reason = skipped[0]

@@ -239,6 +239,19 @@ def grid_onset_pair(draw):
     return onsets(), onsets()
 
 
+@st.composite
+def grid_rows(draw):
+    """A query and 1-6 rows of 1-12 onsets, all on one grid, so that a
+    row's ends tie with or lie near the onsets of the rows beside it."""
+    step = draw(st.sampled_from([0.25, 1.0, 0.1]))
+
+    def onsets():
+        ticks = draw(st.sets(st.integers(0, 24), min_size=1, max_size=12))
+        return [step * k for k in sorted(ticks)]
+
+    return onsets(), [onsets() for _ in range(draw(st.integers(1, 6)))]
+
+
 class TestBatchedAnchorSearch:
     """The batched kernel returns exactly what the cell-by-cell loop does:
     same score, alpha, beta and matched count, and the same
@@ -248,7 +261,7 @@ class TestBatchedAnchorSearch:
     @given(pair=tie_heavy_pair(), chunk=st.sampled_from([1, 2, 7, 1024]))
     def test_equals_loop_oracle(self, pair, chunk):
         query, reference = pair
-        with mock.patch.object(match, "_CHUNK_CELLS", chunk):
+        with mock.patch.object(match, "_GROUP_ONSETS", chunk):
             assert_matches_loop(query, reference)
 
     @settings(max_examples=150, deadline=None)
@@ -285,7 +298,7 @@ class TestBatchedAnchorSearch:
             q, r = (np.sort(rng.uniform(0, 10, k)) for k in (n, m))
             scored.clear()
             with mock.patch.object(match, "_batch_scores", counting), \
-                    mock.patch.object(match, "_CHUNK_CELLS", 7):
+                    mock.patch.object(match, "_GROUP_ONSETS", 7):
                 match._correlative_core(q, r)
             d = abs(n - m)
             assert sum(scored) == (d + 1) * (d + 2) // 2 == tracing._cells(
@@ -323,10 +336,10 @@ class TestBatchedAnchorSearch:
     @pytest.mark.parametrize("deficit", [False, True])
     def test_periodic_ties_across_chunks(self, deficit):
         # every cell (i, i + 3) is a perfect copy of the reference; the
-        # first one must win, and the cells span more than one chunk
-        q = 0.5 * np.arange(60) + 1.0
+        # first one must win, and the cells span more than one piece
+        q = 0.5 * np.arange(80) + 1.0
         r = np.arange(4, dtype=np.float64)
-        assert (60 - 4 + 1) * (60 - 4 + 2) // 2 > match._CHUNK_CELLS
+        assert match.mapped_onsets(80, 4) > match._GROUP_ONSETS
         query, reference = (seq(q), seq(r, unit="beats"))
         if deficit:
             query, reference = seq(r), seq(q, unit="beats")
@@ -516,6 +529,24 @@ class TestSubsetMatch:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             subset_match(seq([]), seq([1.0]))
+
+
+class TestFlatRows:
+    """Rows of onsets listed flat pair as each row alone does: no neighbour
+    test reaches across a row's start or end."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_rows())
+    def test_each_row_pairs_as_if_alone(self, case):
+        q, rows = case
+        starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+        x, mutual = match._mutual_nearest(np.array(q), np.concatenate(rows),
+                                          starts)
+        for row, start in zip(rows, starts):
+            at = slice(start, start + len(row))
+            assert (x[at][mutual[at]].tolist(),
+                    np.array(row)[mutual[at]].tolist()) == (
+                brute_force_subset_match(q, row)[:2])
 
 
 class TestCorrelativeMatch:

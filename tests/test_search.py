@@ -173,6 +173,15 @@ def rank_outcome(rank_fn, *args, **kwargs):
     return repr((result.entries, result.skipped))
 
 
+def match_outcome(query, reference, floor, **paired):
+    """The repr of ``correlative_match``'s result, or its error message."""
+    try:
+        return repr(correlative_match(query, reference, floor=floor,
+                                      **paired))
+    except ValueError as exc:
+        return str(exc)
+
+
 def song(song_id, beats):
     return SongRecord(id=song_id, title=song_id.upper(),
                       onsets_beats=OnsetSequence(
@@ -229,7 +238,7 @@ class TestPrunedRankIsExhaustive:
     @given(case=pruning_catalogue(), chunk=st.sampled_from([1, 7, 1024]))
     def test_equals_the_exhaustive_loop(self, case, chunk):
         db, query, top_k = case
-        with mock.patch.object(match, "_CHUNK_CELLS", chunk):
+        with mock.patch.object(match, "_GROUP_ONSETS", chunk):
             got = rank_outcome(rank, db, query, top_k=top_k)
         assert got == rank_outcome(exhaustive_rank, db, query, top_k=top_k)
 
@@ -248,10 +257,57 @@ class TestPrunedRankIsExhaustive:
                     correlative_match(query, rec.onsets_beats, floor=at)
                 continue
             for floor in (at, want.score, np.nextafter(want.score, 2)):
-                with mock.patch.object(match, "_CHUNK_CELLS", chunk):
+                with mock.patch.object(match, "_GROUP_ONSETS", chunk):
                     got = correlative_match(query, rec.onsets_beats,
                                             floor=floor)
                 assert got == want or (got is None and want.score < floor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pruning_catalogue(), at=st.floats(0, 1),
+           budget=st.sampled_from([1, 7, match._GROUP_ONSETS]))
+    def test_a_group_pass_decides_each_song_as_alone(self, case, at, budget):
+        # each song's share of one pass over the whole catalogue gives the
+        # result or error of pairing that song alone, and at a floor that
+        # result or, if it is below the floor, None
+        db, query, top_k = case
+        references = [rec.onsets_beats for rec in db.records]
+        with mock.patch.object(match, "_GROUP_ONSETS", budget):
+            shares, _ = match.pair_songs(query, references)
+            for reference, share in zip(references, shares):
+                want = match_outcome(query, reference, -np.inf)
+                assert match_outcome(query, reference, -np.inf,
+                                     paired=share) == want
+                got = match_outcome(query, reference, at, paired=share)
+                assert got == want or (got == "None" and correlative_match(
+                    query, reference).score < at)
+            got = rank_outcome(rank, db, query, top_k=top_k)
+        assert got == rank_outcome(exhaustive_rank, db, query, top_k=top_k)
+
+    def test_the_floor_rises_within_a_pass(self):
+        # equal lengths put every song in one pass; the exact copy, last in
+        # the database, is decided first by its matched count, and its
+        # score, the floor at top_k=1, drops every other song unscored
+        copy = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        others = [[0.0, 0.1, 0.2, 3.0, 4.0, 5.0],
+                  [0.0, 1.0, 1.1, 1.2, 4.0, 5.0],
+                  [0.0, 2.0, 2.1, 2.2, 2.3, 5.0],
+                  [0.0, 0.5, 4.0, 4.1, 4.2, 5.0]]
+        db = Database(records=tuple(
+            song(f"s{i}", beats) for i, beats in enumerate(others + [copy])))
+        query = OnsetSequence(times=0.5 + 0.4 * np.array(copy))
+        decided = []
+
+        def recording(query, reference, floor, paired=None):
+            sim = correlative_match(query, reference, floor=floor,
+                                    paired=paired)
+            decided.append(sim is not None)
+            return sim
+
+        with mock.patch.object(search, "correlative_match", recording):
+            result = rank(db, query, top_k=1)
+        assert decided == [True, False, False, False, False]
+        assert (result.entries[0].song_id, result.entries[0].match.score) == (
+            "s4", 1.0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_catalogues(self, seed, tmp_path):
@@ -266,8 +322,9 @@ class TestPrunedRankIsExhaustive:
                                     for s in made["songs"]))
         dropped = []
 
-        def counting(query, reference, floor):
-            sim = correlative_match(query, reference, floor=floor)
+        def counting(query, reference, floor, paired=None):
+            sim = correlative_match(query, reference, floor=floor,
+                                    paired=paired)
             dropped[-1] += sim is None
             return sim
 
