@@ -283,9 +283,9 @@ def _correlative_core(q: np.ndarray, r: np.ndarray, floor: float = -np.inf):
         matched = np.empty(count, dtype=np.int64)
         step = max(1, _GROUP_ONSETS // m)
         for start in range(0, count, step):
-            chunk = slice(start, start + step)
-            scores[chunk], matched[chunk] = _batch_scores(
-                q, r, *anchors(chunk), floor)
+            piece = slice(start, start + step)
+            scores[piece], matched[piece] = _batch_scores(
+                q, r, *anchors(piece), floor)
         return _winner(q, r, floor, scores, matched)
 
 
